@@ -162,8 +162,9 @@ def solve_centers(
     coordinates i < 1/alpha, inside the box [(1-eta) scale_i, (1+eta)
     scale_i].
 
-    Damped Newton from m_i = scale_i, falling back to coordinatewise
-    bisection of the gradient when a step misbehaves.  In the boundary
+    Damped Newton from m_i = scale_i; when the line search cannot reduce
+    the gradient, the box holds no reachable stationary point and
+    BoundaryHitError is raised.  In the boundary
     case 1/alpha integral, the Poisson coordinate i = K is excluded (its
     stationary value would sit outside any thin box around the constant
     scale K!^alpha) but the correction sum keeps j_max = K.
@@ -199,55 +200,16 @@ def solve_centers(
                     break
             t *= 0.5
         if not improved:
-            m = _bisect_centers(alpha, n_edges, lo, hi, j_max, tol)
-            g = profile_objective_gradient(alpha, n_edges, m, j_max)
-            break
+            raise BoundaryHitError(
+                f"damped Newton stalled at gradient norm {np.abs(g).max():.3e} "
+                f"inside box [{lo}, {hi}]; increase eta or n_edges"
+            )
     if np.abs(g).max() >= tol:
         raise NoConvergenceError(float(np.abs(g).max()))
     if np.any(m <= lo) or np.any(m >= hi):
         raise BoundaryHitError(
             f"stationary point {m} outside box [{lo}, {hi}]; increase eta or n_edges"
         )
-    return m
-
-
-def _bisect_centers(
-    alpha: float,
-    n_edges: int,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    j_max: int,
-    tol: float,
-    sweeps: int = 200,
-) -> np.ndarray:
-    """Gauss-Seidel sweeps of coordinatewise bisection on the gradient."""
-    m = 0.5 * (lo + hi)
-    for _ in range(sweeps):
-        g = profile_objective_gradient(alpha, n_edges, m, j_max)
-        if np.abs(g).max() < tol:
-            return m
-        for i in range(len(m)):
-            a, b = lo[i], hi[i]
-
-            def g_i(x: float) -> float:
-                trial = m.copy()
-                trial[i] = x
-                return float(profile_objective_gradient(alpha, n_edges, trial, j_max)[i])
-
-            ga, gb = g_i(a), g_i(b)
-            if ga <= 0 or gb >= 0:
-                raise BoundaryHitError(
-                    f"gradient does not change sign across coordinate {i + 1}"
-                )
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                if g_i(mid) > 0:
-                    a = mid
-                else:
-                    b = mid
-                if b - a < 1e-14 * max(1.0, b):
-                    break
-            m[i] = 0.5 * (a + b)
     return m
 
 

@@ -10,10 +10,10 @@ import sys
 from typing import Optional
 
 from . import asymptotics, oracle
-from .harness import ExperimentSpec, run_experiment
+from .harness import ExperimentSpec, collect_samples, draw_words, run_experiment
 from .partition import build_ztable, load_ztable, save_ztable, write_ztable_csv
-from .sampler import RandomSource, sample_composition, rotate_word
-from .trees import branch_sizes_word, read_trees, tree_distance
+from .sampler import RandomSource
+from .trees import read_trees, tree_distance
 from .weights import WeightSequence
 
 
@@ -31,7 +31,6 @@ def _cmd_ztable(args: argparse.Namespace) -> int:
         ws,
         args.nmax,
         exact_upto=args.exact_upto,
-        truncate=args.truncate,
         allow_large=args.allow_large,
     )
     save_ztable(table, args.out)
@@ -55,23 +54,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     out = open(args.out, "w", encoding="ascii") if args.out else sys.stdout
     try:
         if args.stats_only:
-            words = []
-            for _ in range(args.count):
-                comp = sample_composition(table, args.n, args.n - 1, gen)
-                words.append(rotate_word(comp))
-            max_deg = max(2, max((max(w) + 1) for w in words))
-            cols = ["sigma_s"] + [f"x{d}" for d in range(2, max_deg + 1)] + ["max_branch_size"]
-            out.write(",".join(cols) + "\n")
-            for w in words:
-                sizes = branch_sizes_word(w)
-                row = [str(w[0] + 1)]
-                row += [str(w.count(d - 1)) for d in range(2, max_deg + 1)]
-                row.append(str(max(sizes) if sizes else 0))
-                out.write(",".join(row) + "\n")
+            collect_samples(table, args.n, args.count, gen).emit_csv(out)
         else:
-            for _ in range(args.count):
-                comp = sample_composition(table, args.n, args.n - 1, gen)
-                out.write(" ".join(str(d) for d in rotate_word(comp)) + "\n")
+            for word in draw_words(table, args.n, args.count, gen):
+                out.write(" ".join(str(d) for d in word) + "\n")
     finally:
         if args.out:
             out.close()
@@ -152,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True, help="weight family JSON (inline or path)")
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--exact-upto", type=int, default=0, dest="exact_upto")
-    p.add_argument("--truncate", action="store_true")
     p.add_argument("--allow-large", action="store_true", dest="allow_large")
     p.add_argument("--out", required=True)
     p.add_argument("--dump-csv", default=None, dest="dump_csv")

@@ -15,7 +15,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Optional, TextIO, Union
 
 import numpy as np
 
@@ -79,7 +79,6 @@ class ExperimentSpec:
     radius: int = 3  # star_convergence only
     eps_list: tuple[float, ...] = (0.1, 0.5)  # identities only
     exact_upto: int = 0
-    truncate: bool = False
     allow_large: bool = False
     tolerances: dict = field(default_factory=dict)
 
@@ -92,9 +91,14 @@ class ExperimentSpec:
             raise ValueError("n_list must contain positive sizes")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        known = DEFAULT_TOLERANCES[self.experiment]
+        unknown = sorted(set(self.tolerances) - set(known))
+        if unknown:
+            raise ValueError(f"unknown tolerances {unknown} for {self.experiment}; choose from {sorted(known)}")
         if any(v <= 0 for v in self.tolerances.values()):
             raise ValueError("tolerances must be positive")
-        WeightSequence.from_config(self.weights)  # validate early
+        # validate early, and spell equal families alike ("lam": 2 and "2")
+        object.__setattr__(self, "weights", WeightSequence.from_config(self.weights).to_config())
 
     def weight_sequence(self) -> WeightSequence:
         return WeightSequence.from_config(self.weights)
@@ -112,6 +116,9 @@ class ExperimentSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentSpec":
+        unknown = sorted(set(d) - {f.name for f in dataclasses.fields(ExperimentSpec)})
+        if unknown:
+            raise ValueError(f"unknown spec keys: {unknown}")
         return ExperimentSpec(**d)
 
     @staticmethod
@@ -210,16 +217,28 @@ class SampleBatch:
     branch_size2_count: np.ndarray
     is_star: np.ndarray
 
-    def emit_csv(self, path: str) -> None:
+    def emit_csv(self, out: Union[str, TextIO]) -> None:
+        """One row per sample, to a file path or an open text stream."""
+        if isinstance(out, str):
+            with open(out, "w", encoding="ascii") as fh:
+                self.emit_csv(fh)
+            return
         degrees = sorted(self.degree_counts)
-        with open(path, "w", encoding="ascii") as fh:
-            cols = ["sigma_s"] + [f"x{d}" for d in degrees] + ["max_other_degree", "max_branch_size"]
-            fh.write(",".join(cols) + "\n")
-            for row in range(len(self.sigma_s)):
-                vals = [str(int(self.sigma_s[row]))]
-                vals += [str(int(self.degree_counts[d][row])) for d in degrees]
-                vals += [str(int(self.max_other_degree[row])), str(int(self.max_branch_size[row]))]
-                fh.write(",".join(vals) + "\n")
+        cols = ["sigma_s"] + [f"x{d}" for d in degrees] + ["max_other_degree", "max_branch_size"]
+        out.write(",".join(cols) + "\n")
+        for row in range(len(self.sigma_s)):
+            vals = [str(int(self.sigma_s[row]))]
+            vals += [str(int(self.degree_counts[d][row])) for d in degrees]
+            vals += [str(int(self.max_other_degree[row])), str(int(self.max_branch_size[row]))]
+            out.write(",".join(vals) + "\n")
+
+
+def draw_words(table: ZTable, n_edges: int, count: int, gen: np.random.Generator) -> Iterator[list[int]]:
+    """Outdegree words of `count` exact N-edge trees drawn from one generator:
+    a composition against the table, then its cycle-lemma rotation.  Every
+    tree the harness and the CLI draw comes from here."""
+    for _ in range(count):
+        yield rotate_word(sample_composition(table, n_edges, n_edges - 1, gen))
 
 
 def collect_samples(
@@ -236,9 +255,7 @@ def collect_samples(
     size2 = np.empty(count, dtype=np.int64)
     star = np.empty(count, dtype=bool)
     counts = {d: np.zeros(count, dtype=np.int64) for d in track_degrees}
-    for j in range(count):
-        comp = sample_composition(table, n_edges, n_edges - 1, gen)
-        word = rotate_word(comp)
+    for j, word in enumerate(draw_words(table, n_edges, count, gen)):
         sigma[j] = word[0] + 1
         rest = word[1:]
         max_other[j] = (max(rest) + 1) if rest else 1
@@ -273,7 +290,9 @@ def _ks_to_standard_normal(z: np.ndarray) -> float:
     return float(max(upper, lower))
 
 
-# -- runners --------------------------------------------------------------------
+
+
+# -- runner ---------------------------------------------------------------------
 
 
 def run_experiment(
@@ -281,16 +300,16 @@ def run_experiment(
     emit_csv_dir: Optional[str] = None,
     table: Optional[ZTable] = None,
 ) -> ExperimentReport:
-    runner = {
-        STAR_CONVERGENCE: run_star_convergence,
-        POISSON_SURPLUS: run_poisson_surplus,
-        DEGREE_BOUNDS: run_degree_bounds,
-        GAUSSIAN_FLUCTUATIONS: run_gaussian_fluctuations,
-        LOGZ_EXPANSION: run_logz_expansion,
-        STAR_DOMINANCE: run_star_dominance,
-        IDENTITIES: run_identities,
-    }[spec.experiment]
-    return runner(spec, emit_csv_dir=emit_csv_dir, table=table)
+    """The one runner: check the weight family, build (or reuse) the table,
+    key the generator, and time the experiment's body into a report."""
+    t0 = time.perf_counter()
+    (families, accepts), body = _EXPERIMENT_BODIES[spec.experiment]
+    if not accepts(spec.weight_sequence()):
+        raise ValueError(f"{spec.experiment} runs on {families}")
+    table = _build_table(spec, table)
+    gen = RandomSource(spec.seed, spec.stream).generator()
+    stats, predictions, checks = body(spec, table, gen, emit_csv_dir)
+    return ExperimentReport(spec, stats, predictions, tuple(checks), time.perf_counter() - t0)
 
 
 def _build_table(spec: ExperimentSpec, table: Optional[ZTable] = None) -> ZTable:
@@ -305,73 +324,61 @@ def _build_table(spec: ExperimentSpec, table: Optional[ZTable] = None) -> ZTable
         spec.weight_sequence(),
         max(spec.n_list),
         exact_upto=spec.exact_upto,
-        truncate=spec.truncate,
         allow_large=spec.allow_large,
     )
 
 
-def _maybe_emit(batch: SampleBatch, spec: ExperimentSpec, emit_csv_dir: Optional[str]) -> None:
+def _sample_batch(
+    spec: ExperimentSpec,
+    table: ZTable,
+    gen: np.random.Generator,
+    emit_csv_dir: Optional[str],
+    track_degrees: tuple[int, ...] = (2, 3, 4),
+) -> SampleBatch:
+    """spec.samples trees at the largest N, written out as CSV on request."""
+    batch = collect_samples(table, max(spec.n_list), spec.samples, gen, track_degrees)
     if emit_csv_dir:
         os.makedirs(emit_csv_dir, exist_ok=True)
-        batch.emit_csv(
-            os.path.join(emit_csv_dir, f"{spec.experiment}_n{batch.n_edges}.csv")
-        )
+        batch.emit_csv(os.path.join(emit_csv_dir, f"{spec.experiment}_n{batch.n_edges}.csv"))
+    return batch
 
 
-def run_star_convergence(
-    spec: ExperimentSpec,
-    emit_csv_dir: Optional[str] = None,
-    table: Optional[ZTable] = None,
-) -> ExperimentReport:
+# -- experiment bodies: (spec, table, gen, emit_csv_dir) -> (stats, predictions, checks)
+
+
+def _star_convergence(spec, table, gen, emit_csv_dir):
     """Fraction of samples whose left ball already matches the limiting
     star's; must trend upward in N and clear a threshold at the largest N."""
-    t0 = time.perf_counter()
-    table = _build_table(spec, table)
-    gen = RandomSource(spec.seed, spec.stream).generator()
     target = star_left_ball(spec.radius).word
     fractions = []
     for n_edges in spec.n_list:
-        hits = 0
-        for _ in range(spec.samples):
-            comp = sample_composition(table, n_edges, n_edges - 1, gen)
-            t = PlaneTree(tuple(rotate_word(comp)))
-            hits += left_ball(t, spec.radius).word == target
+        hits = sum(
+            left_ball(PlaneTree(tuple(word)), spec.radius).word == target
+            for word in draw_words(table, n_edges, spec.samples, gen)
+        )
         fractions.append(hits / spec.samples)
-    slack = spec.tolerance("trend_slack")
     worst_drop = max(
         (fractions[i] - fractions[i + 1] for i in range(len(fractions) - 1)),
         default=0.0,
     )
     checks = (
         CheckResult("left_ball_fraction_final", fractions[-1], spec.tolerance("min_final_fraction"), ">="),
-        CheckResult("left_ball_fraction_worst_drop", worst_drop, slack, "<="),
+        CheckResult("left_ball_fraction_worst_drop", worst_drop, spec.tolerance("trend_slack"), "<="),
         CheckResult("left_ball_fraction_endpoint_trend", fractions[-1] - fractions[0], 0.0, ">="),
     )
     stats = {"radius": spec.radius, "n_list": list(spec.n_list), "fractions": fractions}
-    return ExperimentReport(spec, stats, {}, checks, time.perf_counter() - t0)
+    return stats, {}, checks
 
 
-def run_poisson_surplus(
-    spec: ExperimentSpec,
-    emit_csv_dir: Optional[str] = None,
-    table: Optional[ZTable] = None,
-) -> ExperimentReport:
+def _poisson_surplus(spec, table, gen, emit_csv_dir):
     """Pinned-w_2 family: Z_N against e^lam (N-1)!, the surplus N - sigma(s)
     against Poisson(lam), and the all-branches-in-{1,2} event."""
-    t0 = time.perf_counter()
-    ws = spec.weight_sequence()
-    if ws.family != "lambda_factorial":
-        raise ValueError("poisson_surplus runs on the lambda_factorial family")
-    lam = float(ws.lam)
-    table = _build_table(spec, table)
-    gen = RandomSource(spec.seed, spec.stream).generator()
+    lam = float(table.ws.lam)
     n_edges = max(spec.n_list)
-
     log_pred = asymptotics.predict_log_zn(asymptotics.REGIME_LAMBDA, lam, n_edges)
     zn_rel_error = abs(math.expm1(table.log_z_n(n_edges) - log_pred))
 
-    batch = collect_samples(table, n_edges, spec.samples, gen)
-    _maybe_emit(batch, spec, emit_csv_dir)
+    batch = _sample_batch(spec, table, gen, emit_csv_dir)
     surplus = n_edges - batch.sigma_s
     tv = _tv_against_poisson(surplus, lam)
     # sizes in {1,2} forces exactly N - sigma(s) twos, but check it literally
@@ -392,29 +399,17 @@ def run_poisson_surplus(
         "branch_structure_frequency": branch_freq,
         "surplus_histogram": np.bincount(surplus).tolist(),
     }
-    return ExperimentReport(spec, stats, {"log_zn": log_pred}, checks, time.perf_counter() - t0)
+    return stats, {"log_zn": log_pred}, checks
 
 
-def run_degree_bounds(
-    spec: ExperimentSpec,
-    emit_csv_dir: Optional[str] = None,
-    table: Optional[ZTable] = None,
-) -> ExperimentReport:
+def _degree_bounds(spec, table, gen, emit_csv_dir):
     """Factorial-power family: degree and branch-size cutoffs at K+1, the
     X_2 concentration ratio, and the boundary Poisson law when 1/alpha is
     an integer."""
-    t0 = time.perf_counter()
-    ws = spec.weight_sequence()
-    if ws.family != "factorial_alpha" or not 0 < ws.alpha < 1:
-        raise ValueError("degree_bounds runs on factorial_alpha with alpha in (0, 1)")
-    alpha = ws.alpha
+    alpha = table.ws.alpha
     k = asymptotics.degree_cutoff(alpha)
-    table = _build_table(spec, table)
-    gen = RandomSource(spec.seed, spec.stream).generator()
     n_edges = max(spec.n_list)
-
-    batch = collect_samples(table, n_edges, spec.samples, gen, track_degrees=(2, 3, 4, k + 1))
-    _maybe_emit(batch, spec, emit_csv_dir)
+    batch = _sample_batch(spec, table, gen, emit_csv_dir, track_degrees=(2, 3, 4, k + 1))
 
     deg_freq = float((batch.max_other_degree <= k + 1).mean())
     branch_freq = float((batch.max_branch_size <= k + 1).mean())
@@ -447,28 +442,16 @@ def run_degree_bounds(
         stats["tv_boundary_poisson"] = tv
         predictions["poisson_mean"] = mean
         checks.append(CheckResult("tv_boundary_poisson", tv, spec.tolerance("tv_poisson"), "<="))
-    return ExperimentReport(spec, stats, predictions, tuple(checks), time.perf_counter() - t0)
+    return stats, predictions, checks
 
 
-def run_gaussian_fluctuations(
-    spec: ExperimentSpec,
-    emit_csv_dir: Optional[str] = None,
-    table: Optional[ZTable] = None,
-) -> ExperimentReport:
+def _gaussian_fluctuations(spec, table, gen, emit_csv_dir):
     """Standardized degree counts against N(0,1) plus pairwise decorrelation."""
-    t0 = time.perf_counter()
-    ws = spec.weight_sequence()
-    if ws.family != "factorial_alpha" or not 0 < ws.alpha < 1:
-        raise ValueError("gaussian_fluctuations runs on factorial_alpha with alpha in (0, 1)")
-    alpha = ws.alpha
+    alpha = table.ws.alpha
     n_edges = max(spec.n_list)
     prediction = asymptotics.predict(alpha, n_edges)
-    table = _build_table(spec, table)
-    gen = RandomSource(spec.seed, spec.stream).generator()
-
     tracked = tuple(law.degree for law in prediction.laws)
-    batch = collect_samples(table, n_edges, spec.samples, gen, track_degrees=tracked)
-    _maybe_emit(batch, spec, emit_csv_dir)
+    batch = _sample_batch(spec, table, gen, emit_csv_dir, track_degrees=tracked)
 
     ks_by_degree: dict[str, float] = {}
     ks_simple_by_degree: dict[str, float] = {}
@@ -506,22 +489,12 @@ def run_gaussian_fluctuations(
         CheckResult("ks_x2", ks_by_degree["2"], spec.tolerance("ks"), "<="),
         CheckResult("max_abs_corr", max_corr, spec.tolerance("max_abs_corr"), "<="),
     )
-    return ExperimentReport(spec, stats, predictions, checks, time.perf_counter() - t0)
+    return stats, predictions, checks
 
 
-def run_logz_expansion(
-    spec: ExperimentSpec,
-    emit_csv_dir: Optional[str] = None,
-    table: Optional[ZTable] = None,
-) -> ExperimentReport:
+def _logz_expansion(spec, table, gen, emit_csv_dir):
     """Partition-function expansion residuals on a size grid (no sampling)."""
-    t0 = time.perf_counter()
-    ws = spec.weight_sequence()
-    if ws.family != "factorial_alpha" or not 0 < ws.alpha < 1:
-        raise ValueError("logz_expansion runs on factorial_alpha with alpha in (0, 1)")
-    alpha = ws.alpha
-    table = _build_table(spec, table)
-
+    alpha = table.ws.alpha
     residuals = {}
     scaled = {}
     for n_edges in spec.n_list:
@@ -533,9 +506,8 @@ def run_logz_expansion(
     n_last = max(spec.n_list)
     coarse = (table.log_z_n(n_last) - alpha * math.lgamma(n_last)) / n_last ** (1.0 - alpha)
 
-    worst_scaled = max(scaled.values())
     checks = (
-        CheckResult("expansion_residual_scaled", worst_scaled, spec.tolerance("residual_coeff"), "<="),
+        CheckResult("expansion_residual_scaled", max(scaled.values()), spec.tolerance("residual_coeff"), "<="),
         CheckResult("coarse_ratio_lo", coarse, spec.tolerance("coarse_lo"), ">="),
         CheckResult("coarse_ratio_hi", coarse, spec.tolerance("coarse_hi"), "<="),
     )
@@ -545,29 +517,16 @@ def run_logz_expansion(
         "residuals_scaled": scaled,
         "coarse_ratio": coarse,
     }
-    return ExperimentReport(spec, stats, {}, checks, time.perf_counter() - t0)
+    return stats, {}, checks
 
 
-def run_star_dominance(
-    spec: ExperimentSpec,
-    emit_csv_dir: Optional[str] = None,
-    table: Optional[ZTable] = None,
-) -> ExperimentReport:
+def _star_dominance(spec, table, gen, emit_csv_dir):
     """alpha > 1: Z_N collapses onto the star weight and samples are stars."""
-    t0 = time.perf_counter()
-    ws = spec.weight_sequence()
-    if ws.family != "factorial_alpha" or ws.alpha <= 1:
-        raise ValueError("star_dominance runs on factorial_alpha with alpha > 1")
-    alpha = ws.alpha
-    table = _build_table(spec, table)
-    gen = RandomSource(spec.seed, spec.stream).generator()
+    alpha = table.ws.alpha
     n_edges = max(spec.n_list)
-
     log_pred = asymptotics.predict_log_zn(asymptotics.REGIME_ALPHA_GT_1, alpha, n_edges)
     zn_rel_error = abs(math.expm1(table.log_z_n(n_edges) - log_pred))
-    batch = collect_samples(table, n_edges, spec.samples, gen)
-    _maybe_emit(batch, spec, emit_csv_dir)
-    star_freq = float(batch.is_star.mean())
+    star_freq = float(_sample_batch(spec, table, gen, emit_csv_dir).is_star.mean())
 
     checks = (
         CheckResult("zn_rel_error", zn_rel_error, spec.tolerance("zn_rel_error"), "<="),
@@ -579,23 +538,13 @@ def run_star_dominance(
         "zn_rel_error": zn_rel_error,
         "star_frequency": star_freq,
     }
-    return ExperimentReport(spec, stats, {"log_zn": log_pred}, checks, time.perf_counter() - t0)
+    return stats, {"log_zn": log_pred}, checks
 
 
-def run_identities(
-    spec: ExperimentSpec,
-    emit_csv_dir: Optional[str] = None,
-    table: Optional[ZTable] = None,
-) -> ExperimentReport:
+def _identities(spec, table, gen, emit_csv_dir):
     """Sweep the size-bias identity and the shift inequality over the table."""
-    t0 = time.perf_counter()
-    table = _build_table(spec, table)
     n_max = table.n_max
-
-    worst = 0.0
-    for n_vertices in range(1, n_max + 1):
-        for n in range(0, n_max + 1):
-            worst = max(worst, table.sum_identity_residual(n_vertices, n))
+    worst = max(float(table.sum_identity_residuals(nv).max()) for nv in range(1, n_max + 1))
 
     exact_worst = None
     if spec.exact_upto > 0:
@@ -631,4 +580,24 @@ def run_identities(
         "shift_inequality_all_hold": ineq_all_hold,
         "eps_list": list(spec.eps_list),
     }
-    return ExperimentReport(spec, stats, {}, tuple(checks), time.perf_counter() - t0)
+    return stats, {}, checks
+
+
+_ANY_FAMILY = ("any weight family", lambda ws: True)
+_LAMBDA_FACTORIAL = ("the lambda_factorial family", lambda ws: ws.family == "lambda_factorial")
+_ALPHA_BELOW_1 = (
+    "factorial_alpha with alpha in (0, 1)",
+    lambda ws: ws.family == "factorial_alpha" and 0 < ws.alpha < 1,
+)
+_ALPHA_ABOVE_1 = ("factorial_alpha with alpha > 1", lambda ws: ws.family == "factorial_alpha" and ws.alpha > 1)
+
+# experiment -> ((weight families it runs on, test on the weights), body)
+_EXPERIMENT_BODIES: dict[str, tuple[tuple[str, Callable[[WeightSequence], bool]], Callable]] = {
+    STAR_CONVERGENCE: (_ANY_FAMILY, _star_convergence),
+    POISSON_SURPLUS: (_LAMBDA_FACTORIAL, _poisson_surplus),
+    DEGREE_BOUNDS: (_ALPHA_BELOW_1, _degree_bounds),
+    GAUSSIAN_FLUCTUATIONS: (_ALPHA_BELOW_1, _gaussian_fluctuations),
+    LOGZ_EXPANSION: (_ALPHA_BELOW_1, _logz_expansion),
+    STAR_DOMINANCE: (_ALPHA_ABOVE_1, _star_dominance),
+    IDENTITIES: (_ANY_FAMILY, _identities),
+}

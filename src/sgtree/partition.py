@@ -32,7 +32,6 @@ from .logdomain import LOG_ZERO, log_sum
 from .weights import WeightSequence
 
 DEFAULT_N_MAX_CAP = 1500
-TRUNCATION_CUTOFF = 40.0  # natural-log units below the per-entry maximum
 
 _MAGIC = b"SGTZ"
 _VERSION = 1
@@ -46,14 +45,12 @@ class WeightDecayError(ValueError):
     """Weight ratios never fall below the requested epsilon on the table range."""
 
 
-def _log_conv_row(prev: np.ndarray, log_terms: np.ndarray, truncate: bool) -> np.ndarray:
+def _log_conv_row(prev: np.ndarray, log_terms: np.ndarray) -> np.ndarray:
     """out[n] = logsumexp_d (log_terms[d] + prev[n-d]), d = 0..n.
 
     prev and log_terms have equal length W; the result has length W.  The
     shifted-window matrix T[n, d] = prev[n-d] is a zero-copy view; the
-    max shift is taken per output entry.  With truncate set, terms more
-    than TRUNCATION_CUTOFF below the entry maximum are dropped (bounded
-    relative error ~ W * exp(-cutoff)).
+    max shift is taken per output entry.
     """
     w = prev.shape[0]
     pad = np.full(2 * w - 1, -np.inf)
@@ -64,8 +61,6 @@ def _log_conv_row(prev: np.ndarray, log_terms: np.ndarray, truncate: bool) -> np
     finite = mx > -np.inf
     shift = np.where(finite, mx, 0.0)
     np.subtract(m, shift[:, None], out=m)
-    if truncate:
-        np.copyto(m, -np.inf, where=m < -TRUNCATION_CUTOFF)
     np.exp(m, out=m)
     s = m.sum(axis=1)
     out = np.full(w, -np.inf)
@@ -107,7 +102,6 @@ class ZTable:
         log_w: np.ndarray,
         exact_upto: int = -1,
         exact_table: Optional[list[list[Fraction]]] = None,
-        truncated: bool = False,
     ):
         self.ws = ws
         self.n_max = n_max
@@ -115,8 +109,7 @@ class ZTable:
         self.log_w = log_w  # log_w[d] = log w_{d+1}
         self.exact_upto = exact_upto
         self.exact_table = exact_table
-        self.truncated = truncated
-        self._rows_list: Optional[list[list[float]]] = None
+        self._row_views: Optional[list[memoryview]] = None
         self._log_w_list: Optional[list[float]] = None
         self._log_sized_w: Optional[np.ndarray] = None  # log(l * w_{l+1})
         self._shift_cache: dict[float, tuple[int, float]] = {}
@@ -134,11 +127,12 @@ class ZTable:
             raise ValueError(f"(N={n_vertices}, n={n}) outside exact mirror")
         return self.exact_table[n_vertices][n]
 
-    def rows_as_lists(self) -> list[list[float]]:
-        """Plain-list view of the table for tight scalar loops (sampler)."""
-        if self._rows_list is None:
-            self._rows_list = self.log_table.tolist()
-        return self._rows_list
+    def row_views(self) -> list[memoryview]:
+        """Per-row memoryviews of the table for tight scalar loops (sampler):
+        indexing one yields a Python float without copying the table."""
+        if self._row_views is None:
+            self._row_views = [memoryview(row) for row in self.log_table]
+        return self._row_views
 
     def log_w_as_list(self) -> list[float]:
         if self._log_w_list is None:
@@ -243,25 +237,29 @@ class ZTable:
                 self._log_sized_w = np.log(np.arange(self.n_max + 1, dtype=float)) + self.log_w
         return self._log_sized_w
 
-    def sum_identity_residual(self, n_vertices: int, n: int) -> float:
-        """Relative residual of sum_l l w_{l+1} Z(N-1, n-l) = (n/N) Z(N, n).
+    def sum_identity_residuals(self, n_vertices: int) -> np.ndarray:
+        """Relative residuals of sum_l l w_{l+1} Z(N-1, n-l) = (n/N) Z(N, n)
+        for every n = 0..n_max of row N; the left sides are one convolution.
 
         Zero sums on both sides count as a zero residual; a one-sided zero
         reports inf.
         """
-        if not (1 <= n_vertices <= self.n_max and 0 <= n <= self.n_max):
+        if not 1 <= n_vertices <= self.n_max:
             raise ValueError("arguments outside table bound")
-        if n == 0:
-            return 0.0
-        terms = self._log_sized_weights()[1 : n + 1] + self.log_table[n_vertices - 1, n - 1 :: -1]
-        mx = terms.max()
-        lhs = LOG_ZERO if mx == -np.inf else float(mx + np.log(np.exp(terms - mx).sum()))
-        rhs = math.log(n) - math.log(n_vertices) + float(self.log_table[n_vertices, n])
-        if lhs == LOG_ZERO and rhs == LOG_ZERO:
-            return 0.0
-        if lhs == LOG_ZERO or rhs == LOG_ZERO:
-            return float("inf")
-        return abs(math.expm1(lhs - rhs))
+        lhs = _log_conv_row(self.log_table[n_vertices - 1], self._log_sized_weights())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rhs = np.log(np.arange(self.n_max + 1.0)) - math.log(n_vertices) + self.log_table[n_vertices]
+            out = np.abs(np.expm1(lhs - rhs))
+        lhs_zero, rhs_zero = lhs == LOG_ZERO, rhs == LOG_ZERO
+        out[lhs_zero != rhs_zero] = np.inf
+        out[lhs_zero & rhs_zero] = 0.0
+        return out
+
+    def sum_identity_residual(self, n_vertices: int, n: int) -> float:
+        """One entry of sum_identity_residuals."""
+        if not 0 <= n <= self.n_max:
+            raise ValueError("arguments outside table bound")
+        return float(self.sum_identity_residuals(n_vertices)[n])
 
     def sum_identity_exact_residual(self, n_vertices: int, n: int) -> Fraction:
         """Exact-mode difference of the same identity; zero when it holds."""
@@ -310,7 +308,6 @@ def build_ztable(
     ws: WeightSequence,
     n_max: int,
     exact_upto: int = 0,
-    truncate: bool = False,
     allow_large: bool = False,
 ) -> ZTable:
     """Row-by-row log-domain build; O(n_max^3) scalar work, vectorized.
@@ -330,7 +327,7 @@ def build_ztable(
     table = np.full((w, w), -np.inf)
     table[0, 0] = 0.0
     for row in range(1, w):
-        table[row] = _log_conv_row(table[row - 1], log_w, truncate)
+        table[row] = _log_conv_row(table[row - 1], log_w)
 
     exact_table = None
     if exact_upto > 0:
@@ -349,7 +346,7 @@ def build_ztable(
     else:
         exact_upto = -1
 
-    return ZTable(ws, n_max, table, log_w, exact_upto, exact_table, truncate)
+    return ZTable(ws, n_max, table, log_w, exact_upto, exact_table)
 
 
 # -- persistence ---------------------------------------------------------------
@@ -362,7 +359,6 @@ def save_ztable(table: ZTable, path: str) -> None:
         {
             "weights": table.ws.to_config(),
             "n_max": table.n_max,
-            "truncated": table.truncated,
             "exact_upto": table.exact_upto,
         }
     ).encode("utf-8")
@@ -378,7 +374,8 @@ def load_ztable(path: str) -> ZTable:
     """Read a container written by save_ztable.
 
     The exact mirror is not serialized; it is rebuilt on load when the
-    descriptor asks for one (cheap at the small sizes it covers).
+    descriptor asks for one (cheap at the small sizes it covers).  Other
+    descriptor keys are ignored, so files that carry `truncated` still load.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -409,7 +406,6 @@ def load_ztable(path: str) -> ZTable:
         ws.log_weights_upto(n_max),
         exact_upto,
         exact_table,
-        bool(descriptor.get("truncated", False)),
     )
 
 

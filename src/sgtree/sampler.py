@@ -56,7 +56,7 @@ def _as_generator(rng: RngLike) -> np.random.Generator:
 
 def _sample_composition_inner(
     log_w: list[float],
-    rows: list[list[float]],
+    rows: Sequence[memoryview],
     n_slots: int,
     total: int,
     uniforms: list[float],
@@ -107,7 +107,7 @@ def sample_composition(table: ZTable, n_slots: int, total: int, rng: RngLike) ->
     gen = _as_generator(rng)
     uniforms = gen.random(n_slots - 1).tolist()
     return _sample_composition_inner(
-        table.log_w_as_list(), table.rows_as_lists(), n_slots, total, uniforms
+        table.log_w_as_list(), table.row_views(), n_slots, total, uniforms
     )
 
 
@@ -144,18 +144,6 @@ def sample_trees(table: ZTable, n_edges: int, count: int, rng: RngLike) -> list[
     """count independent draws sharing one generator state."""
     gen = _as_generator(rng)
     return [sample_tree(table, n_edges, gen) for _ in range(count)]
-
-
-def categorical_log(log_weights: np.ndarray, size: int, gen: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws from weights given in the log domain: subtract the
-    max, exponentiate, prefix-sum, then bisect uniforms into the cdf."""
-    finite = log_weights > -np.inf
-    if not finite.any():
-        raise ValueError("no admissible category")
-    shifted = np.exp(log_weights - log_weights[finite].max())
-    cdf = np.cumsum(shifted)
-    cdf /= cdf[-1]
-    return np.searchsorted(cdf, gen.random(size), side="right")
 
 
 def sample_sigma_s(table: ZTable, n_edges: int, rng: RngLike) -> int:

@@ -30,19 +30,12 @@ from sgtree import (
     left_ball,
     profile_objective,
     profile_objective_gradient,
+    run_experiment,
     sample_tree,
     solve_centers,
     tree_distance,
     tv_distance,
     uniform_weights,
-)
-from sgtree.harness import (
-    run_degree_bounds,
-    run_gaussian_fluctuations,
-    run_identities,
-    run_logz_expansion,
-    run_poisson_surplus,
-    run_star_dominance,
 )
 from sgtree.oracle import log_total_weight
 
@@ -65,7 +58,7 @@ def degree_bounds_a04_report():
         samples=1000,
         seed=5040,
     )
-    return run_degree_bounds(spec)
+    return run_experiment(spec)
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +70,7 @@ def degree_bounds_a05_report(table_alpha05_1500):
         samples=10_000,
         seed=5050,
     )
-    return run_degree_bounds(spec, table=table_alpha05_1500)
+    return run_experiment(spec, table=table_alpha05_1500)
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +82,7 @@ def gaussian_a05_report(table_alpha05_1500):
         samples=10_000,
         seed=6060,
     )
-    return run_gaussian_fluctuations(spec, table=table_alpha05_1500)
+    return run_experiment(spec, table=table_alpha05_1500)
 
 
 # -- criterion 1: table vs enumeration --------------------------------------
@@ -136,7 +129,7 @@ def test_c2_identity_suite():
         seed=7070,
         eps_list=(0.1, 0.5),
     )
-    report = run_identities(spec)
+    report = run_experiment(spec)
     exact_spec = ExperimentSpec(
         "identities",
         {"family": "lambda_factorial", "lam": "1"},
@@ -145,7 +138,7 @@ def test_c2_identity_suite():
         exact_upto=12,
         eps_list=(0.5,),
     )
-    exact_report = run_identities(exact_spec)
+    exact_report = run_experiment(exact_spec)
     elapsed = time.time() - t0
     _check("C2", "worst_sum_identity_residual", report.stats["worst_sum_residual"], "<=", 1e-9)
     _check(
@@ -193,7 +186,7 @@ def poisson_report():
         samples=20_000,
         seed=404,
     )
-    return run_poisson_surplus(spec)
+    return run_experiment(spec)
 
 
 def test_c4_partition_function_ratio(poisson_report):
@@ -293,7 +286,7 @@ def test_c7_expansion_residuals():
         (100, 200, 400, 800),
         seed=707,
     )
-    report = run_logz_expansion(spec)
+    report = run_experiment(spec)
     worst = max(report.stats["residuals_scaled"].values())
     _check("C7", "expansion_residual_over_N^(1-3a)", worst, "<=", 5.0)
     _check("C7", "coarse_ratio_at_800_low", report.stats["coarse_ratio"], ">=", 0.5)
@@ -309,7 +302,7 @@ def dominance_report():
         samples=1000,
         seed=708,
     )
-    return run_star_dominance(spec)
+    return run_experiment(spec)
 
 
 def test_c7_star_dominance_zn(dominance_report):

@@ -103,6 +103,12 @@ def test_solver_boundary_hit_with_thin_box():
         solve_centers(0.5, 100, eta=0.01)
 
 
+def test_predict_newton_stall_raises_boundary_hit():
+    """At alpha=0.15, N=491 the damped-Newton line search makes no progress."""
+    with pytest.raises(BoundaryHitError, match="stalled"):
+        predict(0.15, 491)
+
+
 def test_center_ratio_approaches_one():
     """|m_hat_1/scale_1 - 1| shrinks along N = 1e2, 1e3, 1e4 at alpha 0.5."""
     gaps = []

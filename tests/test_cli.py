@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -70,9 +71,16 @@ def test_sample_stats_only(tmp_path, capsys):
     )
     assert rc == 0
     out = capsys.readouterr().out.strip().splitlines()
-    assert out[0].startswith("sigma_s,x2,")
-    assert out[0].endswith("max_branch_size")
+    assert out[0] == "sigma_s,x2,x3,x4,max_other_degree,max_branch_size"
     assert len(out) == 11
+
+
+def test_sample_words_pinned(capsys):
+    """Same seed, same trees: pins the words `sgtree sample` prints."""
+    weights = '{"family":"factorial_alpha","alpha":0.5}'
+    assert main(["sample", "--weights", weights, "--n", "60", "--count", "200", "--seed", "3"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
+    assert digest == "92952ab0b1b48018ca7789aaadcfcdf133c3208b483f0597b042056a45eaf045"
 
 
 def test_sample_seed_determinism(tmp_path):

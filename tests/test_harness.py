@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sgtree import ExperimentSpec, build_ztable, run_experiment, uniform_weights
+from sgtree import ExperimentSpec, build_ztable, lambda_factorial_weights, run_experiment, uniform_weights
 from sgtree.harness import (
     DEGREE_BOUNDS,
     IDENTITIES,
@@ -14,8 +14,6 @@ from sgtree.harness import (
     _ks_to_standard_normal,
     _tv_against_poisson,
     collect_samples,
-    run_identities,
-    run_star_convergence,
 )
 from sgtree.sampler import RandomSource
 
@@ -29,6 +27,8 @@ def test_spec_validation():
         ExperimentSpec(IDENTITIES, {"family": "uniform"}, (10,), samples=0)
     with pytest.raises(ValueError):
         ExperimentSpec(IDENTITIES, {"family": "uniform"}, (10,), tolerances={"x": -1})
+    with pytest.raises(ValueError, match="positive"):
+        ExperimentSpec(IDENTITIES, {"family": "uniform"}, (10,), tolerances={"max_sum_residual": -1})
     with pytest.raises(ValueError):
         ExperimentSpec(IDENTITIES, {"family": "wat"}, (10,))
 
@@ -58,7 +58,46 @@ def test_shared_table_must_match():
         STAR_CONVERGENCE, {"family": "factorial_alpha", "alpha": 0.5}, (20,), samples=10
     )
     with pytest.raises(ValueError):
-        run_star_convergence(spec, table=table)
+        run_experiment(spec, table=table)
+
+
+def test_unknown_tolerance_name_rejected():
+    with pytest.raises(ValueError, match="min_star_frequncy"):
+        ExperimentSpec(
+            STAR_DOMINANCE,
+            {"family": "factorial_alpha", "alpha": 1.5},
+            (30,),
+            tolerances={"min_star_frequncy": 0.5},
+        )
+
+
+def test_unknown_spec_key_rejected():
+    d = {"experiment": IDENTITIES, "weights": {"family": "uniform"}, "n_list": [10], "truncate": True}
+    with pytest.raises(ValueError, match="truncate"):
+        ExperimentSpec.from_dict(d)
+    del d["truncate"]
+    with pytest.raises(ValueError, match="sampels"):
+        ExperimentSpec.from_json(json.dumps(dict(d, sampels=5)))
+
+
+def test_weights_normalized_for_shared_table():
+    """`"lam": 2` and `"lam": "2"` name one family, so a shared table fits both."""
+    table = build_ztable(lambda_factorial_weights(2), 30)
+    spec = ExperimentSpec(POISSON_SURPLUS, {"family": "lambda_factorial", "lam": 2}, (30,), samples=20, seed=1)
+    assert spec.weights == {"family": "lambda_factorial", "lam": "2"}
+    assert run_experiment(spec, table=table).stats == run_experiment(spec).stats
+
+
+def test_poisson_surplus_stats_pinned():
+    """Same seed, same statistics: pins the draws of the harness path."""
+    spec = ExperimentSpec(POISSON_SURPLUS, {"family": "lambda_factorial", "lam": "2"}, (40,), samples=300, seed=7)
+    stats = run_experiment(spec).stats
+    assert stats["surplus_histogram"] == [39, 62, 81, 62, 29, 8, 4, 1, 1] + [0] * 29 + [13]
+    assert stats["branch_structure_frequency"] == 0.82
+    assert (stats["n_edges"], stats["lam"]) == (40, 2.0)
+    assert stats["log_zn"] == pytest.approx(108.69306454459961, rel=1e-12)
+    assert stats["zn_rel_error"] == pytest.approx(0.06322238648500822, rel=1e-8)
+    assert stats["tv_surplus_poisson"] == pytest.approx(0.0797736922661449, rel=1e-12)
 
 
 def test_tv_against_poisson_sanity():
@@ -178,7 +217,7 @@ def test_identities_exact_mode():
     spec = ExperimentSpec(
         IDENTITIES, {"family": "lambda_factorial", "lam": "1"}, (30,), exact_upto=10, seed=18
     )
-    report = run_identities(spec)
+    report = run_experiment(spec)
     assert report.stats["exact_sum_residual_is_zero"] is True
     assert report.passed
 

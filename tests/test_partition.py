@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -175,15 +177,6 @@ def test_table_size_cap():
         build_ztable(uniform_weights(), 1501)
 
 
-def test_truncated_build_close_to_exact():
-    ws = factorial_alpha_weights(0.5)
-    full = build_ztable(ws, 40)
-    trunc = build_ztable(ws, 40, truncate=True)
-    assert trunc.truncated
-    # dropping terms 40 log-units down changes nothing beyond ~1e-15
-    assert np.allclose(full.log_table, trunc.log_table, rtol=0, atol=1e-12)
-
-
 def test_zero_weight_family_zero_entries():
     # support only at degrees 1 and 3: odd-size constraints leave gaps
     ws = custom_weights(["1", "0", "1"])
@@ -195,7 +188,7 @@ def test_zero_weight_family_zero_entries():
 
 def test_save_load_round_trip(tmp_path):
     ws = lambda_factorial_weights(2)
-    table = build_ztable(ws, 30, exact_upto=8, truncate=False)
+    table = build_ztable(ws, 30, exact_upto=8)
     path = str(tmp_path / "t.sgtz")
     save_ztable(table, path)
     again = load_ztable(path)
@@ -205,6 +198,17 @@ def test_save_load_round_trip(tmp_path):
     assert again.exact_z(8, 7) == table.exact_z(8, 7)
     with open(path, "rb") as fh:
         assert fh.read(4) == b"SGTZ"
+
+
+def test_load_ignores_retired_truncated_key(tmp_path):
+    """Files written while the descriptor still carried `truncated` load."""
+    table = build_ztable(uniform_weights(), 5)
+    desc = json.dumps({"weights": {"family": "uniform"}, "n_max": 5, "truncated": False, "exact_upto": -1})
+    path = tmp_path / "old.sgtz"
+    path.write_bytes(
+        b"SGTZ" + struct.pack("<B", 1) + struct.pack("<I", len(desc)) + desc.encode() + table.log_table.astype("<f8").tobytes()
+    )
+    assert np.array_equal(load_ztable(str(path)).log_table, table.log_table)
 
 
 def test_csv_dump(tmp_path):

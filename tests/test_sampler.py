@@ -20,7 +20,6 @@ from sgtree import (
     tv_distance,
     uniform_weights,
 )
-from sgtree.sampler import categorical_log
 
 
 def test_random_source_reproducible():
@@ -152,12 +151,3 @@ def test_zero_mass_rejected():
     table = build_ztable(ws, 6)
     with pytest.raises(ValueError):
         sample_composition(table, 2, 3, RandomSource(0))
-
-
-def test_categorical_log_matches_weights():
-    logw = np.log(np.array([0.2, 0.5, 0.3]))
-    draws = categorical_log(logw, 30_000, RandomSource(11).generator())
-    freq = np.bincount(draws, minlength=3) / 30_000
-    assert np.allclose(freq, [0.2, 0.5, 0.3], atol=0.012)
-    with pytest.raises(ValueError):
-        categorical_log(np.array([-np.inf, -np.inf]), 1, RandomSource(0).generator())
