@@ -48,7 +48,6 @@ from .sampler import (
     sample_sigma_s,
     sample_sigma_s_many,
     sample_tree,
-    sample_trees,
 )
 from .trees import (
     DegreeProfile,

@@ -27,12 +27,7 @@ def _load_weights(arg: str) -> WeightSequence:
 
 def _cmd_ztable(args: argparse.Namespace) -> int:
     ws = _load_weights(args.weights)
-    table = build_ztable(
-        ws,
-        args.nmax,
-        exact_upto=args.exact_upto,
-        allow_large=args.allow_large,
-    )
+    table = build_ztable(ws, args.nmax, allow_large=args.allow_large)
     save_ztable(table, args.out)
     if args.dump_csv:
         write_ztable_csv(table, args.dump_csv)
@@ -93,7 +88,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
     ws = _load_weights(args.weights)
     measure = oracle.exact_nu(args.n, ws)
-    table = build_ztable(ws, args.n, exact_upto=args.n if ws.is_exact else 0)
+    table = build_ztable(ws, args.n)
     log_oracle = oracle.log_total_weight(measure, ws)
     log_dp = table.log_z_n(args.n)
     rel = abs(math.expm1(log_oracle - log_dp))
@@ -137,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ztable", help="build and persist a Z(N,n) table")
     p.add_argument("--weights", required=True, help="weight family JSON (inline or path)")
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--exact-upto", type=int, default=0, dest="exact_upto")
     p.add_argument("--allow-large", action="store_true", dest="allow_large")
     p.add_argument("--out", required=True)
     p.add_argument("--dump-csv", default=None, dest="dump_csv")

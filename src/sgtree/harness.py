@@ -97,8 +97,13 @@ class ExperimentSpec:
             raise ValueError(f"unknown tolerances {unknown} for {self.experiment}; choose from {sorted(known)}")
         if any(v <= 0 for v in self.tolerances.values()):
             raise ValueError("tolerances must be positive")
+        if self.exact_upto < 0:
+            raise ValueError("exact_upto must be >= 0")
         # validate early, and spell equal families alike ("lam": 2 and "2")
-        object.__setattr__(self, "weights", WeightSequence.from_config(self.weights).to_config())
+        ws = WeightSequence.from_config(self.weights)
+        if self.exact_upto > 0 and not ws.is_exact:
+            raise ValueError(f"exact_upto > 0 needs a rational weight family, not {self.weights}")
+        object.__setattr__(self, "weights", ws.to_config())
 
     def weight_sequence(self) -> WeightSequence:
         return WeightSequence.from_config(self.weights)
@@ -320,12 +325,7 @@ def _build_table(spec: ExperimentSpec, table: Optional[ZTable] = None) -> ZTable
         if table.n_max < max(spec.n_list):
             raise ValueError("shared table is too small for this spec")
         return table
-    return build_ztable(
-        spec.weight_sequence(),
-        max(spec.n_list),
-        exact_upto=spec.exact_upto,
-        allow_large=spec.allow_large,
-    )
+    return build_ztable(spec.weight_sequence(), max(spec.n_list), allow_large=spec.allow_large)
 
 
 def _sample_batch(
@@ -548,12 +548,13 @@ def _identities(spec, table, gen, emit_csv_dir):
 
     exact_worst = None
     if spec.exact_upto > 0:
-        exact_worst = 0
-        for n_vertices in range(1, table.exact_upto + 1):
-            for n in range(0, table.exact_upto + 1):
-                exact_worst = max(
-                    exact_worst, abs(table.sum_identity_exact_residual(n_vertices, n))
-                )
+        hi = min(spec.exact_upto, n_max)
+        # largest N first: the first call sizes the exact corner for the whole sweep
+        exact_worst = max(
+            abs(table.sum_identity_exact_residual(n_vertices, n))
+            for n_vertices in range(hi, 0, -1)
+            for n in range(hi + 1)
+        )
 
     ineq_bound = min(50, n_max - 1)
     ineq_all_hold = True

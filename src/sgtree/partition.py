@@ -11,13 +11,12 @@ Everything about the tree measure reduces to this table:
 The table is built row by row in the log domain; each row is a log-domain
 convolution of the previous row with the weight sequence, evaluated with a
 per-entry max shift so that entries thousands of log-units apart stay
-accurate.  Families with rational weights can mirror a small corner of the
-table in exact Fractions.
+accurate.  For families with rational weights a corner of the table is
+also available in exact Fractions, derived on demand.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -90,25 +89,18 @@ class ShiftInequalityCheck:
 class ZTable:
     """Log-domain table of Z(N, n) for 0 <= N, n <= n_max.
 
-    Immutable after build; concurrent readers are safe.  The optional exact
-    mirror covers the square corner N, n <= exact_upto in Fractions.
+    The float table is the whole state: n_max is its side less one and
+    log_w follows from the weights.  Immutable after build; concurrent
+    readers are safe.  For rational families exact_z derives a square
+    corner of the table in Fractions on first use.
     """
 
-    def __init__(
-        self,
-        ws: WeightSequence,
-        n_max: int,
-        log_table: np.ndarray,
-        log_w: np.ndarray,
-        exact_upto: int = -1,
-        exact_table: Optional[list[list[Fraction]]] = None,
-    ):
+    def __init__(self, ws: WeightSequence, log_table: np.ndarray):
         self.ws = ws
-        self.n_max = n_max
         self.log_table = log_table
-        self.log_w = log_w  # log_w[d] = log w_{d+1}
-        self.exact_upto = exact_upto
-        self.exact_table = exact_table
+        self.n_max = log_table.shape[0] - 1
+        self.log_w = ws.log_weights_upto(self.n_max)  # log_w[d] = log w_{d+1}
+        self._exact: list[list[Fraction]] = []  # exact corner, rows and columns 0..len-1
         self._row_views: Optional[list[memoryview]] = None
         self._log_w_list: Optional[list[float]] = None
         self._log_sized_w: Optional[np.ndarray] = None  # log(l * w_{l+1})
@@ -123,9 +115,18 @@ class ZTable:
         return float(self.log_table[n_vertices, n])
 
     def exact_z(self, n_vertices: int, n: int) -> Fraction:
-        if self.exact_table is None or n_vertices > self.exact_upto or n > self.exact_upto:
-            raise ValueError(f"(N={n_vertices}, n={n}) outside exact mirror")
-        return self.exact_table[n_vertices][n]
+        """Z(N, n) as a Fraction; rational weight families only.
+
+        A request past the exact corner rebuilds it at least twice as large
+        (capped at n_max), so an increasing sweep to m rebuilds O(log m) times.
+        """
+        if not (0 <= n_vertices <= self.n_max and 0 <= n <= self.n_max):
+            raise ValueError(f"(N={n_vertices}, n={n}) outside table bound {self.n_max}")
+        m = max(n_vertices, n)
+        if m >= len(self._exact):
+            size = min(self.n_max, max(m, 2 * (len(self._exact) - 1)))
+            self._exact = _exact_corner(self.ws, size)
+        return self._exact[n_vertices][n]
 
     def row_views(self) -> list[memoryview]:
         """Per-row memoryviews of the table for tight scalar loops (sampler):
@@ -304,12 +305,20 @@ class ZTable:
         return ShiftInequalityCheck(True, holds, eps, a_eps, log_c, lhs, rhs)
 
 
-def build_ztable(
-    ws: WeightSequence,
-    n_max: int,
-    exact_upto: int = 0,
-    allow_large: bool = False,
-) -> ZTable:
+def _exact_corner(ws: WeightSequence, m: int) -> list[list[Fraction]]:
+    """Z(N, n) for N, n <= m in Fractions, by the same row convolution as
+    the log-domain build."""
+    if not ws.is_exact:
+        raise ValueError(f"exact values need a rational weight family, not {ws.to_config()}")
+    ew = [ws.exact_weight(d + 1) for d in range(m + 1)]
+    rows = [[Fraction(1)] + [Fraction(0)] * m]
+    for _ in range(m):
+        prev = rows[-1]
+        rows.append([sum((ew[d] * prev[n - d] for d in range(n + 1)), Fraction(0)) for n in range(m + 1)])
+    return rows
+
+
+def build_ztable(ws: WeightSequence, n_max: int, allow_large: bool = False) -> ZTable:
     """Row-by-row log-domain build; O(n_max^3) scalar work, vectorized.
 
     The full table is retained because sequential sampling consults every
@@ -323,30 +332,12 @@ def build_ztable(
             "pass allow_large to override"
         )
     w = n_max + 1
-    log_w = ws.log_weights_upto(n_max)
-    table = np.full((w, w), -np.inf)
-    table[0, 0] = 0.0
+    table = ZTable(ws, np.full((w, w), -np.inf))
+    log_table = table.log_table
+    log_table[0, 0] = 0.0
     for row in range(1, w):
-        table[row] = _log_conv_row(table[row - 1], log_w)
-
-    exact_table = None
-    if exact_upto > 0:
-        if not ws.is_exact:
-            raise ValueError("exact mirror requires a rational weight family")
-        exact_upto = min(exact_upto, n_max)
-        ew = [ws.exact_weight(d + 1) for d in range(exact_upto + 1)]
-        exact_table = [[Fraction(0)] * (exact_upto + 1) for _ in range(exact_upto + 1)]
-        exact_table[0][0] = Fraction(1)
-        for row in range(1, exact_upto + 1):
-            prev = exact_table[row - 1]
-            exact_table[row] = [
-                sum((ew[d] * prev[n - d] for d in range(n + 1)), Fraction(0))
-                for n in range(exact_upto + 1)
-            ]
-    else:
-        exact_upto = -1
-
-    return ZTable(ws, n_max, table, log_w, exact_upto, exact_table)
+        log_table[row] = _log_conv_row(log_table[row - 1], table.log_w)
+    return table
 
 
 # -- persistence ---------------------------------------------------------------
@@ -355,13 +346,7 @@ def build_ztable(
 def save_ztable(table: ZTable, path: str) -> None:
     """Binary container: magic 'SGTZ', version byte, JSON descriptor,
     then (n_max+1)^2 row-major float64 log values, little endian."""
-    descriptor = json.dumps(
-        {
-            "weights": table.ws.to_config(),
-            "n_max": table.n_max,
-            "exact_upto": table.exact_upto,
-        }
-    ).encode("utf-8")
+    descriptor = json.dumps({"weights": table.ws.to_config(), "n_max": table.n_max}).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<B", _VERSION))
@@ -371,42 +356,35 @@ def save_ztable(table: ZTable, path: str) -> None:
 
 
 def load_ztable(path: str) -> ZTable:
-    """Read a container written by save_ztable.
+    """Read a container written by save_ztable, payload straight into the table.
 
-    The exact mirror is not serialized; it is rebuilt on load when the
-    descriptor asks for one (cheap at the small sizes it covers).  Other
-    descriptor keys are ignored, so files that carry `truncated` still load.
+    Rejects a short or overlong payload, and a table whose rows 0 and 1 are
+    not what every build writes: (0, -inf, ...) and the descriptor's log
+    weights, bit for bit.  Descriptor keys other than `weights` and `n_max`
+    are ignored, so files written with retired keys still load.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    buf = io.BytesIO(data)
-    if buf.read(4) != _MAGIC:
-        raise ValueError(f"{path}: not a ztable container")
-    (version,) = struct.unpack("<B", buf.read(1))
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    (desc_len,) = struct.unpack("<I", buf.read(4))
-    descriptor = json.loads(buf.read(desc_len).decode("utf-8"))
-    n_max = int(descriptor["n_max"])
-    w = n_max + 1
-    raw = buf.read(w * w * 8)
-    if len(raw) != w * w * 8:
-        raise ValueError(f"{path}: truncated table payload")
-    log_table = np.frombuffer(raw, dtype="<f8").reshape(w, w).copy()
-    ws = WeightSequence.from_config(descriptor["weights"])
-    exact_upto = int(descriptor.get("exact_upto", -1))
-    exact_table = None
-    if exact_upto > 0:
-        rebuilt = build_ztable(ws, min(exact_upto, n_max), exact_upto=exact_upto)
-        exact_table = rebuilt.exact_table
-    return ZTable(
-        ws,
-        n_max,
-        log_table,
-        ws.log_weights_upto(n_max),
-        exact_upto,
-        exact_table,
-    )
+        if fh.read(4) != _MAGIC:
+            raise ValueError(f"{path}: not a ztable container")
+        (version,) = struct.unpack("<B", fh.read(1))
+        if version != _VERSION:
+            raise ValueError(f"{path}: unsupported version {version}")
+        (desc_len,) = struct.unpack("<I", fh.read(4))
+        descriptor = json.loads(fh.read(desc_len).decode("utf-8"))
+        n_max = int(descriptor["n_max"])
+        if n_max < 1:
+            raise ValueError(f"{path}: n_max must be >= 1, got {n_max}")
+        log_table = np.empty((n_max + 1, n_max + 1), dtype="<f8")
+        if fh.readinto(log_table) != log_table.nbytes:
+            raise ValueError(f"{path}: truncated table payload")
+        if fh.read(1):
+            raise ValueError(f"{path}: bytes after the table payload")
+    if not (log_table[0, 0] == 0.0 and np.all(log_table[0, 1:] == -np.inf)):
+        raise ValueError(f"{path}: row 0 is not (0, -inf, ...)")
+    table = ZTable(WeightSequence.from_config(descriptor["weights"]), log_table)
+    if log_table[1].tobytes() != table.log_w.tobytes():
+        raise ValueError(f"{path}: row 1 is not the log weights of {descriptor['weights']}")
+    return table
 
 
 def write_ztable_csv(table: ZTable, path: str) -> None:

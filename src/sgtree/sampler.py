@@ -29,7 +29,7 @@ RNG_ALGORITHM = "philox4x64"  # counter-based; (seed, stream) is the key
 
 @dataclass(frozen=True)
 class RandomSource:
-    """Reproducible, splittable randomness: (seed, stream) keys a Philox
+    """Reproducible randomness: (seed, stream) keys a Philox
     counter-based generator, so distinct streams are independent and any
     pair of integers reproduces the identical draw sequence."""
 
@@ -40,9 +40,6 @@ class RandomSource:
         mask = (1 << 64) - 1
         key = [self.seed & mask, self.stream & mask]
         return np.random.Generator(np.random.Philox(key=key))
-
-    def split(self, stream: int) -> "RandomSource":
-        return RandomSource(self.seed, stream)
 
 
 RngLike = Union[RandomSource, np.random.Generator]
@@ -138,12 +135,6 @@ def sample_tree(table: ZTable, n_edges: int, rng: RngLike) -> PlaneTree:
     """One exact draw from the N-edge tree measure."""
     comp = sample_composition(table, n_edges, n_edges - 1, rng)
     return rotate_to_tree(comp)
-
-
-def sample_trees(table: ZTable, n_edges: int, count: int, rng: RngLike) -> list[PlaneTree]:
-    """count independent draws sharing one generator state."""
-    gen = _as_generator(rng)
-    return [sample_tree(table, n_edges, gen) for _ in range(count)]
 
 
 def sample_sigma_s(table: ZTable, n_edges: int, rng: RngLike) -> int:

@@ -17,17 +17,17 @@ from sgtree import (
 
 @pytest.fixture(scope="session")
 def table_uniform_small():
-    return build_ztable(uniform_weights(), 12, exact_upto=12)
+    return build_ztable(uniform_weights(), 12)
 
 
 @pytest.fixture(scope="session")
 def table_lam1_small():
-    return build_ztable(lambda_factorial_weights(1), 12, exact_upto=12)
+    return build_ztable(lambda_factorial_weights(1), 12)
 
 
 @pytest.fixture(scope="session")
 def table_lam2_small():
-    return build_ztable(lambda_factorial_weights(2), 12, exact_upto=12)
+    return build_ztable(lambda_factorial_weights(2), 12)
 
 
 @pytest.fixture(scope="session")

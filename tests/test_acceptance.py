@@ -94,7 +94,7 @@ def test_c1_oracle_equivalence():
     rational = [uniform_weights(), lambda_factorial_weights(2), lambda_factorial_weights(1)]
     worst_log = 0.0
     for ws in rational:
-        table = build_ztable(ws, 9, exact_upto=9)
+        table = build_ztable(ws, 9)
         for n in range(1, 10):
             measure = exact_nu(n, ws)
             assert measure.total == table.exact_z_n(n)

@@ -15,8 +15,6 @@ def test_ztable_build_and_sample_round_trip(tmp_path):
             '{"family": "uniform"}',
             "--nmax",
             "12",
-            "--exact-upto",
-            "6",
             "--out",
             table_path,
             "--dump-csv",

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sgtree import ExperimentSpec, build_ztable, lambda_factorial_weights, run_experiment, uniform_weights
+from sgtree import ExperimentSpec, ZTable, build_ztable, lambda_factorial_weights, run_experiment, uniform_weights
 from sgtree.harness import (
     DEGREE_BOUNDS,
     IDENTITIES,
@@ -31,6 +31,10 @@ def test_spec_validation():
         ExperimentSpec(IDENTITIES, {"family": "uniform"}, (10,), tolerances={"max_sum_residual": -1})
     with pytest.raises(ValueError):
         ExperimentSpec(IDENTITIES, {"family": "wat"}, (10,))
+    with pytest.raises(ValueError, match="exact_upto"):
+        ExperimentSpec(IDENTITIES, {"family": "uniform"}, (10,), exact_upto=-1)
+    with pytest.raises(ValueError, match="rational"):
+        ExperimentSpec(IDENTITIES, {"family": "factorial_alpha", "alpha": 0.5}, (10,), exact_upto=5)
 
 
 def test_spec_json_round_trip():
@@ -220,6 +224,20 @@ def test_identities_exact_mode():
     report = run_experiment(spec)
     assert report.stats["exact_sum_residual_is_zero"] is True
     assert report.passed
+
+
+def test_identities_exact_sweep_on_shared_table(monkeypatch):
+    """The spec alone sets the exact sweep: 12 x 13 entries on a shared table."""
+    calls = []
+    residual = ZTable.sum_identity_exact_residual
+    monkeypatch.setattr(
+        ZTable, "sum_identity_exact_residual", lambda self, nv, n: calls.append((nv, n)) or residual(self, nv, n)
+    )
+    table = build_ztable(lambda_factorial_weights(1), 20)
+    spec = ExperimentSpec(IDENTITIES, {"family": "lambda_factorial", "lam": "1"}, (20,), exact_upto=12, eps_list=(0.5,))
+    report = run_experiment(spec, table=table)
+    assert sorted(calls) == [(nv, n) for nv in range(1, 13) for n in range(13)]
+    assert report.stats["exact_sum_residual_is_zero"] is True
 
 
 def test_report_reproducible_from_echo():

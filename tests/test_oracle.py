@@ -61,7 +61,7 @@ def test_probabilities_sum_to_one_exactly():
 def test_normalization_matches_table():
     """Sum of tree weights equals Z_N = Z(N, N-1)/N, exactly."""
     for ws in (uniform_weights(), lambda_factorial_weights(2)):
-        table = build_ztable(ws, 10, exact_upto=10)
+        table = build_ztable(ws, 10)
         for n in range(1, 11):
             m = exact_nu(n, ws)
             assert m.total == table.exact_z_n(n)
@@ -80,7 +80,7 @@ def test_oracle_confirms_root_degree_law():
     """Summing the exact measure over trees with a given sigma(s)
     reproduces the closed-form law, exactly in exact mode."""
     ws = lambda_factorial_weights(2)
-    table = build_ztable(ws, 8, exact_upto=8)
+    table = build_ztable(ws, 8)
     for n in (5, 8):
         m = exact_nu(n, ws)
         by_sigma: dict[int, Fraction] = {}
@@ -95,7 +95,7 @@ def test_oracle_confirms_joint_law():
     """Joint (sigma(s), sigma(s_1)) of the exact measure matches the
     forest-removal formula at N <= 8."""
     ws = lambda_factorial_weights(1)
-    table = build_ztable(ws, 8, exact_upto=8)
+    table = build_ztable(ws, 8)
     for n in (4, 8):
         m = exact_nu(n, ws)
         joint = table.joint_child_pmf(n)

@@ -17,6 +17,7 @@ from sgtree import (
     save_ztable,
     uniform_weights,
 )
+from sgtree import partition
 
 
 def test_boundary_rows(table_uniform_small):
@@ -34,7 +35,7 @@ def test_known_small_values(table_uniform_small, table_lam1_small):
     assert table_uniform_small.exact_z(3, 2) == 6
     # hand enumeration with w_2 = lam: Z(3,2) = 6 + 3 lam^2
     assert table_lam1_small.exact_z(3, 2) == 9
-    t2 = build_ztable(lambda_factorial_weights(2), 4, exact_upto=4)
+    t2 = build_ztable(lambda_factorial_weights(2), 4)
     assert t2.exact_z(3, 2) == 6 + 3 * 4
 
 
@@ -88,7 +89,7 @@ def _compositions(n_slots, total):
 def test_exact_entries_against_composition_enumeration(family):
     """Independent oracle: brute-force sum over compositions."""
     ws = uniform_weights() if family == "uniform" else lambda_factorial_weights(2)
-    table = build_ztable(ws, 12, exact_upto=12)
+    table = build_ztable(ws, 12)
     grid = [(nv, n) for nv in range(1, 8) for n in range(0, 8)]
     grid += [(12, 3), (11, 4), (10, 2)]
     for n_vertices, n in grid:
@@ -180,7 +181,7 @@ def test_table_size_cap():
 def test_zero_weight_family_zero_entries():
     # support only at degrees 1 and 3: odd-size constraints leave gaps
     ws = custom_weights(["1", "0", "1"])
-    t = build_ztable(ws, 8, exact_upto=8)
+    t = build_ztable(ws, 8)
     assert t.exact_z(2, 3) == 0
     assert t.log_z(2, 3) == -math.inf
     assert t.exact_z(2, 4) == 1  # both slots outdegree 2
@@ -188,7 +189,7 @@ def test_zero_weight_family_zero_entries():
 
 def test_save_load_round_trip(tmp_path):
     ws = lambda_factorial_weights(2)
-    table = build_ztable(ws, 30, exact_upto=8)
+    table = build_ztable(ws, 30)
     path = str(tmp_path / "t.sgtz")
     save_ztable(table, path)
     again = load_ztable(path)
@@ -209,6 +210,67 @@ def test_load_ignores_retired_truncated_key(tmp_path):
         b"SGTZ" + struct.pack("<B", 1) + struct.pack("<I", len(desc)) + desc.encode() + table.log_table.astype("<f8").tobytes()
     )
     assert np.array_equal(load_ztable(str(path)).log_table, table.log_table)
+
+
+def _sgtz_file(tmp_path, payload: bytes, n_max: int = 5, weights=None) -> str:
+    """An SGTZ file around `payload`, with a uniform descriptor by default."""
+    desc = json.dumps({"weights": weights or {"family": "uniform"}, "n_max": n_max}).encode()
+    path = tmp_path / "t.sgtz"
+    path.write_bytes(b"SGTZ" + struct.pack("<BI", 1, len(desc)) + desc + payload)
+    return str(path)
+
+
+def test_load_rejects_truncated_payload(tmp_path):
+    payload = build_ztable(uniform_weights(), 5).log_table.tobytes()
+    with pytest.raises(ValueError, match="truncated table payload"):
+        load_ztable(_sgtz_file(tmp_path, payload[:-8]))
+
+
+def test_load_rejects_bytes_after_payload(tmp_path):
+    payload = build_ztable(uniform_weights(), 5).log_table.tobytes()
+    with pytest.raises(ValueError, match="after the table payload"):
+        load_ztable(_sgtz_file(tmp_path, payload + b"\0"))
+
+
+def test_load_rejects_n_max_below_1(tmp_path):
+    with pytest.raises(ValueError, match="n_max"):
+        load_ztable(_sgtz_file(tmp_path, struct.pack("<d", 0.0), n_max=0))
+
+
+def test_load_rejects_bad_row_0(tmp_path):
+    log_table = build_ztable(uniform_weights(), 5).log_table.copy()
+    log_table[0, 3] = 0.0
+    with pytest.raises(ValueError, match="row 0"):
+        load_ztable(_sgtz_file(tmp_path, log_table.tobytes()))
+
+
+def test_load_rejects_row_1_not_the_weights(tmp_path):
+    """A lam=2 table under a lam=1 descriptor, then one ulp off in row 1."""
+    log_table = build_ztable(lambda_factorial_weights(2), 5).log_table.copy()
+    with pytest.raises(ValueError, match="row 1"):
+        load_ztable(_sgtz_file(tmp_path, log_table.tobytes(), weights={"family": "lambda_factorial", "lam": "1"}))
+    lam2 = lambda_factorial_weights(2).to_config()
+    assert load_ztable(_sgtz_file(tmp_path, log_table.tobytes(), weights=lam2)).n_max == 5
+    log_table[1, 4] = np.nextafter(log_table[1, 4], np.inf)
+    with pytest.raises(ValueError, match="row 1"):
+        load_ztable(_sgtz_file(tmp_path, log_table.tobytes(), weights=lam2))
+
+
+def test_exact_corner_grows_on_demand(monkeypatch):
+    """An increasing sweep rebuilds the corner at doubling sizes, capped at n_max."""
+    sizes = []
+    build = partition._exact_corner
+    monkeypatch.setattr(partition, "_exact_corner", lambda ws, m: sizes.append(m) or build(ws, m))
+    table = build_ztable(lambda_factorial_weights(1), 20)
+    for m in range(21):
+        table.exact_z(m, m)
+    assert sizes == [0, 1, 2, 4, 8, 16, 20]
+    assert table.exact_z(20, 19) == build(lambda_factorial_weights(1), 20)[20][19]
+
+
+def test_exact_z_needs_rational_weights(table_alpha05_small):
+    with pytest.raises(ValueError, match="rational"):
+        table_alpha05_small.exact_z(2, 1)
 
 
 def test_csv_dump(tmp_path):

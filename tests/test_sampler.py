@@ -16,10 +16,10 @@ from sgtree import (
     sample_sigma_s,
     sample_sigma_s_many,
     sample_tree,
-    sample_trees,
     tv_distance,
     uniform_weights,
 )
+from sgtree.harness import draw_words
 
 
 def test_random_source_reproducible():
@@ -137,11 +137,13 @@ def test_sigma_marginal_agreement():
 
 def test_determinism_same_seed_same_trees():
     table = build_ztable(lambda_factorial_weights(2), 30)
-    first = [t.word for t in sample_trees(table, 30, 20, RandomSource(5, 7))]
-    second = [t.word for t in sample_trees(table, 30, 20, RandomSource(5, 7))]
-    assert first == second
-    other_stream = [t.word for t in sample_trees(table, 30, 20, RandomSource(5, 8))]
-    assert first != other_stream
+
+    def words(stream):
+        return list(draw_words(table, 30, 20, RandomSource(5, stream).generator()))
+
+    first = words(7)
+    assert first == words(7)
+    assert first != words(8)
 
 
 def test_zero_mass_rejected():
