@@ -37,7 +37,7 @@ def _cmd_ztable(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     ws = _load_weights(args.weights)
-    if args.table and os.path.exists(args.table):
+    if args.table:
         table = load_ztable(args.table)
         if table.ws.to_config() != ws.to_config():
             raise SystemExit("table weight family does not match --weights")
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)
-    p.add_argument("--table", default=None, help="reuse a saved table")
+    p.add_argument("--table", default=None, help="load this saved table instead of building one")
     p.add_argument("--out", default=None)
     p.add_argument("--stats-only", action="store_true", dest="stats_only")
     p.add_argument("--allow-large", action="store_true", dest="allow_large")

@@ -91,6 +91,12 @@ class ExperimentSpec:
             raise ValueError("n_list must contain positive sizes")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.radius < 1:
+            raise ValueError("radius must be >= 1")
+        if not all(eps > 0 for eps in self.eps_list):
+            raise ValueError("every eps in eps_list must be positive")
+        if self.experiment == IDENTITIES and not self.eps_list:
+            raise ValueError("identities needs a non-empty eps_list")
         known = DEFAULT_TOLERANCES[self.experiment]
         unknown = sorted(set(self.tolerances) - set(known))
         if unknown:

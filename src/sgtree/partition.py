@@ -358,20 +358,28 @@ def save_ztable(table: ZTable, path: str) -> None:
 def load_ztable(path: str) -> ZTable:
     """Read a container written by save_ztable, payload straight into the table.
 
-    Rejects a short or overlong payload, and a table whose rows 0 and 1 are
-    not what every build writes: (0, -inf, ...) and the descriptor's log
+    Every malformed file raises ValueError naming the path: a cut header or
+    descriptor, a descriptor that is not an object with `n_max` and
+    `weights`, a short or overlong payload, and a table whose rows 0 and 1
+    are not what every build writes: (0, -inf, ...) and the descriptor's log
     weights, bit for bit.  Descriptor keys other than `weights` and `n_max`
     are ignored, so files written with retired keys still load.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a ztable container")
-        (version,) = struct.unpack("<B", fh.read(1))
+        head = fh.read(5)
+        if len(head) != 5:
+            raise ValueError(f"{path}: header ends before the descriptor")
+        version, desc_len = struct.unpack("<BI", head)
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        (desc_len,) = struct.unpack("<I", fh.read(4))
-        descriptor = json.loads(fh.read(desc_len).decode("utf-8"))
-        n_max = int(descriptor["n_max"])
+        try:
+            descriptor = json.loads(fh.read(desc_len).decode("utf-8"))
+            n_max = int(descriptor["n_max"])
+            ws = WeightSequence.from_config(descriptor["weights"])
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"{path}: malformed descriptor: {exc!r}") from exc
         if n_max < 1:
             raise ValueError(f"{path}: n_max must be >= 1, got {n_max}")
         log_table = np.empty((n_max + 1, n_max + 1), dtype="<f8")
@@ -381,7 +389,7 @@ def load_ztable(path: str) -> ZTable:
             raise ValueError(f"{path}: bytes after the table payload")
     if not (log_table[0, 0] == 0.0 and np.all(log_table[0, 1:] == -np.inf)):
         raise ValueError(f"{path}: row 0 is not (0, -inf, ...)")
-    table = ZTable(WeightSequence.from_config(descriptor["weights"]), log_table)
+    table = ZTable(ws, log_table)
     if log_table[1].tobytes() != table.log_w.tobytes():
         raise ValueError(f"{path}: row 1 is not the log weights of {descriptor['weights']}")
     return table

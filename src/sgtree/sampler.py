@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +31,8 @@ RNG_ALGORITHM = "philox4x64"  # counter-based; (seed, stream) is the key
 class RandomSource:
     """Reproducible randomness: (seed, stream) keys a Philox
     counter-based generator, so distinct streams are independent and any
-    pair of integers reproduces the identical draw sequence."""
+    pair of integers reproduces the identical draw sequence.  The sampling
+    functions take the generator(), whose state advances across calls."""
 
     seed: int
     stream: int = 0
@@ -40,15 +41,6 @@ class RandomSource:
         mask = (1 << 64) - 1
         key = [self.seed & mask, self.stream & mask]
         return np.random.Generator(np.random.Philox(key=key))
-
-
-RngLike = Union[RandomSource, np.random.Generator]
-
-
-def _as_generator(rng: RngLike) -> np.random.Generator:
-    if isinstance(rng, RandomSource):
-        return rng.generator()
-    return rng
 
 
 def _sample_composition_inner(
@@ -90,7 +82,7 @@ def _sample_composition_inner(
     return out
 
 
-def sample_composition(table: ZTable, n_slots: int, total: int, rng: RngLike) -> list[int]:
+def sample_composition(table: ZTable, n_slots: int, total: int, rng: np.random.Generator) -> list[int]:
     """Draw (d_1, ..., d_N) with sum `total`, distributed ~ prod w_{d_i+1}.
 
     Requires Z(N, total) > 0; with all-positive weights that always holds.
@@ -101,8 +93,7 @@ def sample_composition(table: ZTable, n_slots: int, total: int, rng: RngLike) ->
         raise ValueError(f"Z({n_slots},{total}) = 0: no admissible composition")
     if n_slots == 1:
         return [total]
-    gen = _as_generator(rng)
-    uniforms = gen.random(n_slots - 1).tolist()
+    uniforms = rng.random(n_slots - 1).tolist()
     return _sample_composition_inner(
         table.log_w_as_list(), table.row_views(), n_slots, total, uniforms
     )
@@ -131,24 +122,23 @@ def rotate_to_tree(word: Sequence[int]) -> PlaneTree:
     return PlaneTree(tuple(rotate_word(word)))
 
 
-def sample_tree(table: ZTable, n_edges: int, rng: RngLike) -> PlaneTree:
+def sample_tree(table: ZTable, n_edges: int, rng: np.random.Generator) -> PlaneTree:
     """One exact draw from the N-edge tree measure."""
     comp = sample_composition(table, n_edges, n_edges - 1, rng)
     return rotate_to_tree(comp)
 
 
-def sample_sigma_s(table: ZTable, n_edges: int, rng: RngLike) -> int:
+def sample_sigma_s(table: ZTable, n_edges: int, rng: np.random.Generator) -> int:
     """Draw sigma(s) alone from its closed-form law, no tree built."""
     return int(sample_sigma_s_many(table, n_edges, 1, rng)[0])
 
 
-def sample_sigma_s_many(table: ZTable, n_edges: int, count: int, rng: RngLike) -> np.ndarray:
+def sample_sigma_s_many(table: ZTable, n_edges: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized draws of sigma(s); returns an array of degrees."""
     if n_edges < 2:
         raise ValueError("sigma(s) sampling needs N >= 2")
-    gen = _as_generator(rng)
     p = table.root_degree_pmf(n_edges)
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
-    ks = np.searchsorted(cdf, gen.random(count), side="right")
+    ks = np.searchsorted(cdf, rng.random(count), side="right")
     return ks + 1

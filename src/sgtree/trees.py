@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable
 
 
 @dataclass(frozen=True)
@@ -98,12 +98,10 @@ class DegreeProfile:
 
 def degree_profile(t: PlaneTree) -> DegreeProfile:
     """Degree counts X_i.  Satisfies sum X_i = N+1 and sum i*X_i = 2N."""
-    counts: Counter[int] = Counter()
-    counts[1] += 1  # the root r
-    for d in t.word:
-        counts[d + 1] += 1
+    counts = {d + 1: c for d, c in Counter(t.word).items()}
+    counts[1] = counts.get(1, 0) + 1  # the root r
     return DegreeProfile(
-        counts=dict(counts),
+        counts=counts,
         max_degree=max(counts),
         sigma_s=t.sigma_s,
     )
@@ -130,54 +128,46 @@ def branch_sizes(t: PlaneTree) -> list[int]:
     return branch_sizes_word(t.word)
 
 
-def _children_lists(word: tuple[int, ...]) -> list[list[int]]:
-    """children[v] in left-to-right order, vertices indexed by word position."""
-    children: list[list[int]] = [[] for _ in word]
-    stack: list[list[int]] = []  # [vertex, remaining child slots]
-    for v, d in enumerate(word):
-        if stack:
-            stack[-1][1] -= 1
-            children[stack[-1][0]].append(v)
-            while stack and stack[-1][1] == 0:
-                stack.pop()
-        if d > 0:
-            stack.append([v, d])
-    return children
+def _pruned_word(word: tuple[int, ...], keep: Callable[[int, int, int], int]) -> tuple[int, ...]:
+    """Preorder scan of word keeping, at output vertex i at depth `depth`
+    (s is at depth 1) with d children, its first keep(depth, i, d) children.
 
-
-def _pruned_word(
-    word: tuple[int, ...], radius: int, child_cap: Optional[int]
-) -> tuple[int, ...]:
-    """Depth-first word of the subtree kept by the ball/left-ball rules.
-
-    Vertices deeper than radius (s is at depth 1) are dropped; when
-    child_cap is set, each kept vertex also keeps at most that many of its
-    leftmost children.
+    Subtrees that are not kept are skipped without being emitted, and the
+    scan stops once s closes, so s's dropped children are never read.
     """
-    if radius <= 0 or not word:
+    if not word:
         return ()
-    children = _children_lists(word)
     out: list[int] = []
-    stack: list[tuple[int, int]] = [(0, 1)]  # (vertex, depth), preorder
-    while stack:
-        v, depth = stack.pop()
-        if depth >= radius:
-            kept = 0
-        elif child_cap is None:
-            kept = word[v]
-        else:
-            kept = min(word[v], child_cap)
+    stack: list[list[int]] = []  # per open vertex: [kept children to come, children skipped after]
+    pos = 0
+    while True:
+        d = word[pos]
+        pos += 1
+        kept = keep(len(stack) + 1, len(out), d)
         out.append(kept)
-        for c in reversed(children[v][:kept]):
-            stack.append((c, depth + 1))
-    return tuple(out)
+        stack.append([kept, d - kept])
+        while not stack[-1][0]:
+            need = stack.pop()[1]
+            if not stack:
+                return tuple(out)
+            while need:
+                need += word[pos] - 1
+                pos += 1
+        stack[-1][0] -= 1
 
 
 def ball(t: PlaneTree, radius: int) -> PlaneTree:
     """Subtree induced by vertices at distance <= radius from r."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    return PlaneTree(_pruned_word(t.word, radius, None))
+    if radius == 0:
+        return PlaneTree(())  # r alone
+    return PlaneTree(_pruned_word(t.word, lambda depth, i, d: d if depth < radius else 0))
+
+
+def _left_ball_word(word: tuple[int, ...], radius: int) -> tuple[int, ...]:
+    cap = radius - 1
+    return _pruned_word(word, lambda depth, i, d: min(d, cap) if depth < radius else 0)
 
 
 def left_ball(t: PlaneTree, radius: int) -> PlaneTree:
@@ -188,7 +178,7 @@ def left_ball(t: PlaneTree, radius: int) -> PlaneTree:
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    return PlaneTree(_pruned_word(t.word, radius, radius - 1))
+    return PlaneTree(_left_ball_word(t.word, radius))
 
 
 def tree_distance(t1: PlaneTree, t2: PlaneTree) -> Fraction:
@@ -202,34 +192,22 @@ def tree_distance(t1: PlaneTree, t2: PlaneTree) -> Fraction:
     if t1.word == t2.word:
         return Fraction(0)
     radius = 1
-    while True:
-        if _pruned_word(t1.word, radius, radius - 1) != _pruned_word(
-            t2.word, radius, radius - 1
-        ):
-            return Fraction(1, radius)
+    while _left_ball_word(t1.word, radius) == _left_ball_word(t2.word, radius):
         radius += 1
+    return Fraction(1, radius)
 
 
 def is_left_subtree(t1: PlaneTree, t2: PlaneTree) -> bool:
     """True when t1's vertex set embeds in t2's at identical positions.
 
     Both trees are closed under ancestors and left siblings by
-    construction, so containment reduces to outdeg(v in t1) <= outdeg(v in
-    t2) along matching positions, checked without recursion.
+    construction, so t1 embeds exactly when pruning t2 to at most t1's
+    outdegree at each matched vertex gives back t1's word.
     """
-    if not t1.word:
+    w1 = t1.word
+    if not w1:
         return True
-    if not t2.word:
-        return False
-    c1 = _children_lists(t1.word)
-    c2 = _children_lists(t2.word)
-    stack = [(0, 0)]
-    while stack:
-        v1, v2 = stack.pop()
-        if t1.word[v1] > t2.word[v2]:
-            return False
-        stack.extend(zip(c1[v1], c2[v2]))
-    return True
+    return _pruned_word(t2.word, lambda depth, i, d: min(d, w1[i])) == w1
 
 
 def write_trees(trees: Iterable[PlaneTree], path: str) -> None:

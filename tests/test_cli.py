@@ -52,6 +52,16 @@ def test_ztable_build_and_sample_round_trip(tmp_path):
         assert t.n_edges == 8
 
 
+def test_sample_missing_table_fails(tmp_path):
+    """A --table path that does not exist is an error, not a rebuild."""
+    out = tmp_path / "trees.txt"
+    args = ["sample", "--weights", '{"family": "uniform"}', "--n", "8", "--table", str(tmp_path / "missing.sgtz")]
+    with pytest.raises(FileNotFoundError):
+        main(args + ["--out", str(out)])
+    assert not out.exists()
+    assert not (tmp_path / "missing.sgtz").exists()
+
+
 def test_sample_stats_only(tmp_path, capsys):
     rc = main(
         [

@@ -35,6 +35,12 @@ def test_spec_validation():
         ExperimentSpec(IDENTITIES, {"family": "uniform"}, (10,), exact_upto=-1)
     with pytest.raises(ValueError, match="rational"):
         ExperimentSpec(IDENTITIES, {"family": "factorial_alpha", "alpha": 0.5}, (10,), exact_upto=5)
+    with pytest.raises(ValueError, match="radius"):
+        ExperimentSpec(STAR_CONVERGENCE, {"family": "factorial_alpha", "alpha": 0.5}, (10,), radius=0)
+    with pytest.raises(ValueError, match="eps"):
+        ExperimentSpec(IDENTITIES, {"family": "uniform"}, (10,), eps_list=(0.5, 0.0))
+    with pytest.raises(ValueError, match="eps_list"):
+        ExperimentSpec(IDENTITIES, {"family": "uniform"}, (10,), eps_list=())
 
 
 def test_spec_json_round_trip():

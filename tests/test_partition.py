@@ -220,6 +220,28 @@ def _sgtz_file(tmp_path, payload: bytes, n_max: int = 5, weights=None) -> str:
     return str(path)
 
 
+def _header(desc: bytes, desc_len: int) -> bytes:
+    return b"SGTZ" + struct.pack("<BI", 1, desc_len) + desc
+
+
+_DESC = json.dumps({"weights": {"family": "uniform"}, "n_max": 5}).encode()
+_NO_N_MAX = json.dumps({"weights": {"family": "uniform"}}).encode()
+_LIST = json.dumps([{"family": "uniform"}, 5]).encode()
+
+
+@pytest.mark.parametrize(
+    "head",
+    [b"SGTZ", _header(_DESC[:-6], len(_DESC)), _header(_NO_N_MAX, len(_NO_N_MAX)), _header(_LIST, len(_LIST))],
+    ids=["magic_only", "cut_descriptor", "no_n_max", "descriptor_is_list"],
+)
+def test_load_rejects_malformed_header(tmp_path, head):
+    """Every malformed header is a ValueError that names the file."""
+    path = tmp_path / "h.sgtz"
+    path.write_bytes(head)
+    with pytest.raises(ValueError, match="h.sgtz"):
+        load_ztable(str(path))
+
+
 def test_load_rejects_truncated_payload(tmp_path):
     payload = build_ztable(uniform_weights(), 5).log_table.tobytes()
     with pytest.raises(ValueError, match="truncated table payload"):

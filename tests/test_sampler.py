@@ -77,12 +77,12 @@ def test_composition_distribution_lam1():
 
 def test_single_slot_composition():
     table = build_ztable(uniform_weights(), 5)
-    assert sample_composition(table, 1, 4, RandomSource(0)) == [4]
+    assert sample_composition(table, 1, 4, RandomSource(0).generator()) == [4]
 
 
 def test_sample_tree_smallest():
     table = build_ztable(uniform_weights(), 3)
-    assert sample_tree(table, 1, RandomSource(9)).word == (0,)
+    assert sample_tree(table, 1, RandomSource(9).generator()).word == (0,)
 
 
 def test_sample_tree_n3():
@@ -127,12 +127,12 @@ def test_sigma_marginal_agreement():
     from_trees = np.zeros(n + 1)
     for _ in range(draws):
         from_trees[sample_tree(table, n, gen).word[0] + 1] += 1
-    direct = np.bincount(sample_sigma_s_many(table, n, draws, RandomSource(78)), minlength=n + 1)
+    direct = np.bincount(sample_sigma_s_many(table, n, draws, RandomSource(78).generator()), minlength=n + 1)
     for k in range(1, n):
         se = math.sqrt(p[k] * (1 - p[k]) / draws)
         assert abs(from_trees[k + 1] / draws - p[k]) < 3.5 * se + 1e-9
         assert abs(direct[k + 1] / draws - p[k]) < 3.5 * se + 1e-9
-    assert sample_sigma_s(table, 2, RandomSource(1)) == 2
+    assert sample_sigma_s(table, 2, RandomSource(1).generator()) == 2
 
 
 def test_determinism_same_seed_same_trees():
@@ -152,4 +152,4 @@ def test_zero_mass_rejected():
     ws = custom_weights(["1", "0", "1"])  # only even outdegree blocks
     table = build_ztable(ws, 6)
     with pytest.raises(ValueError):
-        sample_composition(table, 2, 3, RandomSource(0))
+        sample_composition(table, 2, 3, RandomSource(0).generator())

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -163,3 +164,19 @@ def test_text_round_trip(tmp_path):
     write_trees(trees, str(path))
     again = read_trees(str(path))
     assert [t.word for t in again] == [t.word for t in trees]
+
+
+def test_tree_walks_pinned(random_words):
+    """Pins ball, left_ball and is_left_subtree over the sampled trees, and
+    the distance of two paths whose left balls agree up to radius 700."""
+    h = hashlib.sha256()
+    trees = [PlaneTree(word) for word in random_words]
+    for t in trees:
+        for radius in range(7):
+            h.update(repr(ball(t, radius).word).encode())
+        for radius in range(1, 7):
+            h.update(repr(left_ball(t, radius).word).encode())
+    for t, u in zip(trees, trees[1:]):
+        h.update(b"1" if is_left_subtree(left_ball(t, 3), u) else b"0")
+    assert h.hexdigest() == "46c333a095dfbb06edf83f39d006b08605eafdeb352217a3f3dec4d59422f729"
+    assert tree_distance(path_tree(700), path_tree(701)) == Fraction(1, 701)
