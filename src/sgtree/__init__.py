@@ -18,7 +18,6 @@ from .asymptotics import (
     predict_log_zn,
     profile_objective,
     profile_objective_gradient,
-    reference_laws,
     solve_centers,
 )
 from .harness import (
@@ -28,7 +27,7 @@ from .harness import (
     collect_samples,
     run_experiment,
 )
-from .logdomain import LOG_ZERO, log_add, log_factorial, log_sum
+from .logdomain import LOG_ZERO, log_factorial, log_sum
 from .oracle import EnumeratedMeasure, enumerate_trees, exact_nu, tv_distance
 from .partition import (
     ShiftInequalityCheck,
@@ -42,11 +41,8 @@ from .partition import (
 from .sampler import (
     RNG_ALGORITHM,
     RandomSource,
-    rotate_to_tree,
     rotate_word,
     sample_composition,
-    sample_sigma_s,
-    sample_sigma_s_many,
     sample_tree,
 )
 from .trees import (
@@ -63,9 +59,7 @@ from .trees import (
     tree_distance,
 )
 from .weights import (
-    WeightGrowthReport,
     WeightSequence,
-    check_superexponential,
     custom_weights,
     factorial_alpha_weights,
     lambda_factorial_weights,

@@ -309,8 +309,3 @@ def predict(alpha: float, n_edges: int, eta: float = DEFAULT_ETA, tol: float = 1
         eta=eta,
         log_zn=predict_log_zn(REGIME_ALPHA_LT_1, alpha, n_edges),
     )
-
-
-def reference_laws(alpha: float, n_edges: int, eta: float = DEFAULT_ETA) -> tuple[DegreeLaw, ...]:
-    """Predicted limit laws for each tracked degree at one (alpha, N)."""
-    return predict(alpha, n_edges, eta=eta).laws

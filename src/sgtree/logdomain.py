@@ -15,17 +15,6 @@ from typing import Iterable
 LOG_ZERO = float("-inf")
 
 
-def log_add(a: float, b: float) -> float:
-    """log(e^a + e^b), stable for any mix of finite values and -inf."""
-    if a == LOG_ZERO:
-        return b
-    if b == LOG_ZERO:
-        return a
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
-
-
 def log_sum(values: Iterable[float]) -> float:
     """log of the sum of e^v over all values; -inf for an empty sum."""
     vals = list(values)

@@ -66,12 +66,6 @@ class EnumeratedMeasure:
     total: Weight
     exact: bool
 
-    def probability(self, t: PlaneTree) -> Weight:
-        for tree, w in self.entries:
-            if tree.word == t.word:
-                return w / self.total
-        return Fraction(0) if self.exact else 0.0
-
     def probabilities(self) -> dict[tuple[int, ...], Weight]:
         return {t.word: w / self.total for t, w in self.entries}
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,11 +80,6 @@ class ShiftInequalityCheck:
     log_c_eps: float
     lhs_log: float
     rhs_log: float
-
-    @property
-    def margin(self) -> float:
-        """rhs - lhs in log units; nonnegative when the inequality holds."""
-        return self.rhs_log - self.lhs_log
 
 
 class ZTable:
@@ -256,12 +252,6 @@ class ZTable:
         out[lhs_zero & rhs_zero] = 0.0
         return out
 
-    def sum_identity_residual(self, n_vertices: int, n: int) -> float:
-        """One entry of sum_identity_residuals."""
-        if not 0 <= n <= self.n_max:
-            raise ValueError("arguments outside table bound")
-        return float(self.sum_identity_residuals(n_vertices)[n])
-
     def sum_identity_exact_residual(self, n_vertices: int, n: int) -> Fraction:
         """Exact-mode difference of the same identity; zero when it holds."""
         lhs = Fraction(0)
@@ -360,7 +350,8 @@ def load_ztable(path: str) -> ZTable:
 
     Every malformed file raises ValueError naming the path: a cut header or
     descriptor, a descriptor that is not an object with `n_max` and
-    `weights`, a short or overlong payload, and a table whose rows 0 and 1
+    `weights`, a short or overlong payload (checked against the file size
+    before the table is allocated), and a table whose rows 0 and 1
     are not what every build writes: (0, -inf, ...) and the descriptor's log
     weights, bit for bit.  Descriptor keys other than `weights` and `n_max`
     are ignored, so files written with retired keys still load.
@@ -382,11 +373,14 @@ def load_ztable(path: str) -> ZTable:
             raise ValueError(f"{path}: malformed descriptor: {exc!r}") from exc
         if n_max < 1:
             raise ValueError(f"{path}: n_max must be >= 1, got {n_max}")
+        payload, need = os.fstat(fh.fileno()).st_size - fh.tell(), 8 * (n_max + 1) ** 2
+        if payload < need:
+            raise ValueError(f"{path}: truncated table payload")
+        if payload > need:
+            raise ValueError(f"{path}: bytes after the table payload")
         log_table = np.empty((n_max + 1, n_max + 1), dtype="<f8")
         if fh.readinto(log_table) != log_table.nbytes:
             raise ValueError(f"{path}: truncated table payload")
-        if fh.read(1):
-            raise ValueError(f"{path}: bytes after the table payload")
     if not (log_table[0, 0] == 0.0 and np.all(log_table[0, 1:] == -np.inf)):
         raise ValueError(f"{path}: row 0 is not (0, -inf, ...)")
     table = ZTable(ws, log_table)

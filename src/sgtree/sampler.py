@@ -117,28 +117,7 @@ def rotate_word(word: Sequence[int]) -> list[int]:
     return list(word[cut:]) + list(word[:cut])
 
 
-def rotate_to_tree(word: Sequence[int]) -> PlaneTree:
-    """Cycle-lemma rotation of a composition into a plane tree."""
-    return PlaneTree(tuple(rotate_word(word)))
-
-
 def sample_tree(table: ZTable, n_edges: int, rng: np.random.Generator) -> PlaneTree:
     """One exact draw from the N-edge tree measure."""
     comp = sample_composition(table, n_edges, n_edges - 1, rng)
-    return rotate_to_tree(comp)
-
-
-def sample_sigma_s(table: ZTable, n_edges: int, rng: np.random.Generator) -> int:
-    """Draw sigma(s) alone from its closed-form law, no tree built."""
-    return int(sample_sigma_s_many(table, n_edges, 1, rng)[0])
-
-
-def sample_sigma_s_many(table: ZTable, n_edges: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized draws of sigma(s); returns an array of degrees."""
-    if n_edges < 2:
-        raise ValueError("sigma(s) sampling needs N >= 2")
-    p = table.root_degree_pmf(n_edges)
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
-    ks = np.searchsorted(cdf, rng.random(count), side="right")
-    return ks + 1
+    return PlaneTree(tuple(rotate_word(comp)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -188,13 +188,27 @@ def tree_distance(t1: PlaneTree, t2: PlaneTree) -> Fraction:
     Equivalently inf of 1/(R+1) over the radii where the left balls agree;
     radius 1 always agrees (both collapse to the single edge r-s), so
     distinct trees have distance <= 1/2.
+
+    Balls that agree at radius R agree below it (the radius-r left ball of
+    the radius-R left ball is the radius-r left ball), so the first
+    differing radius is found by doubling, then bisection.
     """
     if t1.word == t2.word:
         return Fraction(0)
-    radius = 1
-    while _left_ball_word(t1.word, radius) == _left_ball_word(t2.word, radius):
-        radius += 1
-    return Fraction(1, radius)
+
+    def agree(radius: int) -> bool:
+        return _left_ball_word(t1.word, radius) == _left_ball_word(t2.word, radius)
+
+    lo, hi = 0, 1  # after doubling: the balls differ at hi and agree at lo, unless lo == 0
+    while agree(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if agree(mid):
+            lo = mid
+        else:
+            hi = mid
+    return Fraction(1, hi)
 
 
 def is_left_subtree(t1: PlaneTree, t2: PlaneTree) -> bool:
@@ -208,13 +222,6 @@ def is_left_subtree(t1: PlaneTree, t2: PlaneTree) -> bool:
     if not w1:
         return True
     return _pruned_word(t2.word, lambda depth, i, d: min(d, w1[i])) == w1
-
-
-def write_trees(trees: Iterable[PlaneTree], path: str) -> None:
-    """One outdegree word per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        for t in trees:
-            fh.write(str(t) + "\n")
 
 
 def read_trees(path: str) -> list[PlaneTree]:

@@ -54,8 +54,8 @@ class WeightSequence:
             if self.lam is None or self.lam <= 0:
                 raise ValueError("lambda_factorial requires lam > 0")
         elif self.family == FACTORIAL_ALPHA:
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError("factorial_alpha requires alpha > 0")
+            if self.alpha is None or not 0 < self.alpha < math.inf:
+                raise ValueError(f"factorial_alpha requires a finite alpha > 0, got {self.alpha}")
         elif self.family == CUSTOM:
             if not self.table:
                 raise ValueError("custom family requires a weight table")
@@ -130,16 +130,25 @@ class WeightSequence:
 
     @staticmethod
     def from_config(config: dict) -> "WeightSequence":
+        """Inverse of to_config; a malformed config raises ValueError."""
+        if not isinstance(config, dict):
+            raise ValueError(f"weight config must be an object, got {config!r}")
         family = config.get("family")
         if family == UNIFORM:
             return uniform_weights()
-        if family == LAMBDA_FACTORIAL:
-            return lambda_factorial_weights(config["lam"])
-        if family == FACTORIAL_ALPHA:
-            return factorial_alpha_weights(float(config["alpha"]))
+        key = {LAMBDA_FACTORIAL: "lam", FACTORIAL_ALPHA: "alpha", CUSTOM: "weights"}.get(family)
+        if key is None:
+            raise ValueError(f"unknown weight family in config: {family!r}")
+        value = config.get(key)
         if family == CUSTOM:
-            return custom_weights(config["weights"])
-        raise ValueError(f"unknown weight family in config: {family!r}")
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"custom weights need a list `weights`, got {value!r}")
+            return custom_weights(value)
+        if not isinstance(value, (int, float, str)):
+            raise ValueError(f"{family} weights need a number `{key}`, got {value!r}")
+        if family == LAMBDA_FACTORIAL:
+            return lambda_factorial_weights(value)
+        return factorial_alpha_weights(value)
 
 
 def uniform_weights() -> WeightSequence:
@@ -164,64 +173,3 @@ def custom_weights(weights: Sequence[Union[int, str, Fraction]]) -> WeightSequen
     """
     table = tuple(Fraction(str(w)) for w in weights)
     return WeightSequence(CUSTOM, table=table)
-
-
-@dataclass(frozen=True)
-class WeightGrowthReport:
-    """Diagnostic for the ratio sequence w_{n+1}/w_n.
-
-    Superexponential growth means the ratios diverge; over a finite window
-    that is not decidable, so this is advisory: we report whether the tail
-    of the window increases and whether the last ratio clears a threshold.
-    """
-
-    ratios: tuple[float, ...]  # ratios[j] = w_{j+2}/w_{j+1}, j = 0..n_max-2
-    increasing_from: Optional[int]  # least n with strictly rising tail
-    exceeds_threshold: bool
-    threshold: float
-    warnings: tuple[str, ...]
-
-    @property
-    def looks_superexponential(self) -> bool:
-        return self.increasing_from is not None and self.exceeds_threshold
-
-
-def check_superexponential(
-    ws: WeightSequence, n_max: int, threshold: float = 2.0
-) -> WeightGrowthReport:
-    """Inspect w_{n+1}/w_n for n = 1..n_max-1 and flag suspicious growth."""
-    if n_max < 3:
-        raise ValueError("n_max must be >= 3")
-    warnings: list[str] = []
-    ratios: list[float] = []
-    for n in range(1, n_max):
-        la, lb = ws.log_weight(n), ws.log_weight(n + 1)
-        if la == LOG_ZERO and lb == LOG_ZERO:
-            ratios.append(float("nan"))
-        elif la == LOG_ZERO:
-            ratios.append(float("inf"))
-        else:
-            ratios.append(math.exp(lb - la))
-    if any(math.isnan(r) for r in ratios):
-        warnings.append("weights vanish on part of the checked range")
-
-    increasing_from: Optional[int] = None
-    for start in range(len(ratios) - 1):
-        window = ratios[start:]
-        if all(window[j] < window[j + 1] for j in range(len(window) - 1)):
-            increasing_from = start + 1  # ratio index n
-            break
-    if increasing_from is None:
-        warnings.append("ratio sequence is not eventually increasing on the checked range")
-    exceeds = bool(ratios and ratios[-1] > threshold)
-    if not exceeds:
-        warnings.append(
-            f"last checked ratio {ratios[-1]:.6g} does not exceed threshold {threshold:g}"
-        )
-    return WeightGrowthReport(
-        ratios=tuple(ratios),
-        increasing_from=increasing_from,
-        exceeds_threshold=exceeds,
-        threshold=threshold,
-        warnings=tuple(warnings),
-    )

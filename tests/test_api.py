@@ -1,0 +1,68 @@
+import types
+
+import sgtree
+
+PUBLIC_NAMES = [
+    "AsymptoticPrediction",
+    "BoundaryHitError",
+    "CheckResult",
+    "DegreeLaw",
+    "DegreeProfile",
+    "EnumeratedMeasure",
+    "ExperimentReport",
+    "ExperimentSpec",
+    "LOG_ZERO",
+    "PlaneTree",
+    "RNG_ALGORITHM",
+    "RandomSource",
+    "ShiftInequalityCheck",
+    "TableSizeError",
+    "WeightDecayError",
+    "WeightSequence",
+    "ZTable",
+    "ball",
+    "branch_sizes",
+    "build_ztable",
+    "center_first_order",
+    "collect_samples",
+    "custom_weights",
+    "degree_count_scale",
+    "degree_cutoff",
+    "degree_profile",
+    "enumerate_trees",
+    "exact_nu",
+    "factorial_alpha_weights",
+    "gaussian_indices",
+    "is_left_subtree",
+    "lambda_factorial_weights",
+    "left_ball",
+    "load_ztable",
+    "log_factorial",
+    "log_sum",
+    "path_tree",
+    "predict",
+    "predict_log_zn",
+    "profile_objective",
+    "profile_objective_gradient",
+    "rotate_word",
+    "run_experiment",
+    "sample_composition",
+    "sample_tree",
+    "save_ztable",
+    "solve_centers",
+    "star_left_ball",
+    "star_tree",
+    "tree_distance",
+    "tv_distance",
+    "uniform_weights",
+]
+
+
+def test_public_surface_pinned():
+    """Growing or shrinking the package's API means editing this list."""
+    names = sorted(
+        name
+        for name in dir(sgtree)
+        if not name.startswith("_") and not isinstance(getattr(sgtree, name), types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES

@@ -11,7 +11,6 @@ from sgtree import (
     predict_log_zn,
     profile_objective,
     profile_objective_gradient,
-    reference_laws,
     solve_centers,
 )
 from sgtree.asymptotics import degree_cutoff, gaussian_indices, reciprocal_is_integer
@@ -146,18 +145,18 @@ def test_predict_log_zn():
 
 
 def test_reference_laws_shapes():
-    laws = reference_laws(0.5, 1500)
+    laws = predict(0.5, 1500).laws
     kinds = {(law.degree, law.kind) for law in laws}
     assert kinds == {(2, "gaussian"), (3, "poisson")}
     poisson = [law for law in laws if law.kind == "poisson"][0]
     assert poisson.center == pytest.approx(2**0.5, rel=1e-12)
 
-    laws = reference_laws(0.4, 1000)
+    laws = predict(0.4, 1000).laws
     kinds = {(law.degree, law.kind) for law in laws}
     assert kinds == {(2, "gaussian"), (3, "gaussian")}
 
     # alpha = 0.45: X_2 centered near N^0.55, scaled by N^0.275
-    laws = reference_laws(0.45, 1500)
+    laws = predict(0.45, 1500).laws
     x2 = [law for law in laws if law.degree == 2][0]
     assert x2.center == pytest.approx(1500**0.55, rel=0.05)
     assert x2.scale == pytest.approx(1500**0.275, rel=0.01)

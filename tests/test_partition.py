@@ -141,15 +141,15 @@ def test_joint_pmf_symmetry_and_marginal(table_lam1_small, table_alpha05_small):
 def test_sum_identity(table_uniform_small):
     t = table_uniform_small
     # hand computation: lhs = Z(2,1) + 2 Z(2,0) = 4 = (2/3) Z(3,2)
-    assert t.sum_identity_residual(3, 2) < 1e-14
-    assert t.sum_identity_residual(3, 0) == 0.0
-    assert t.sum_identity_residual(1, 5) < 1e-14  # reduces to k w_{k+1} both sides
+    assert t.sum_identity_residuals(3)[2] < 1e-14
+    assert t.sum_identity_residuals(3)[0] == 0.0
+    assert t.sum_identity_residuals(1)[5] < 1e-14  # reduces to k w_{k+1} both sides
     assert t.sum_identity_exact_residual(3, 2) == 0
 
 
 def test_sum_identity_sweep(table_alpha05_small):
     worst = max(
-        table_alpha05_small.sum_identity_residual(nv, n)
+        table_alpha05_small.sum_identity_residuals(nv)[n]
         for nv in range(1, 61)
         for n in range(0, 61)
     )
@@ -246,6 +246,13 @@ def test_load_rejects_truncated_payload(tmp_path):
     payload = build_ztable(uniform_weights(), 5).log_table.tobytes()
     with pytest.raises(ValueError, match="truncated table payload"):
         load_ztable(_sgtz_file(tmp_path, payload[:-8]))
+
+
+@pytest.mark.parametrize("n_max", [3_000_000, 10**12])
+def test_load_rejects_huge_n_max_before_allocating(tmp_path, n_max):
+    """A header that claims a table no machine can hold, and no payload."""
+    with pytest.raises(ValueError, match="t.sgtz: truncated table payload"):
+        load_ztable(_sgtz_file(tmp_path, b"", n_max=n_max))
 
 
 def test_load_rejects_bytes_after_payload(tmp_path):

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sgtree import (
+    PlaneTree,
     RandomSource,
     build_ztable,
     exact_nu,
     lambda_factorial_weights,
-    rotate_to_tree,
     rotate_word,
     sample_composition,
-    sample_sigma_s,
-    sample_sigma_s_many,
     sample_tree,
     tv_distance,
     uniform_weights,
@@ -31,9 +29,9 @@ def test_random_source_reproducible():
 
 
 def test_rotation_examples():
-    assert rotate_to_tree((0, 2, 0)).word == (2, 0, 0)
-    assert rotate_to_tree((1, 1, 0)).word == (1, 1, 0)  # already valid
-    assert rotate_to_tree((0, 0, 2)).word == (2, 0, 0)
+    assert rotate_word((0, 2, 0)) == [2, 0, 0]
+    assert rotate_word((1, 1, 0)) == [1, 1, 0]  # already valid
+    assert rotate_word((0, 0, 2)) == [2, 0, 0]
     with pytest.raises(ValueError):
         rotate_word((1, 1))  # wrong sum
 
@@ -49,7 +47,7 @@ def test_rotation_always_valid(raw):
             raw[i % len(raw)] -= 1
         i += 1
     raw[0] += want - sum(raw)
-    t = rotate_to_tree(raw)
+    t = PlaneTree(tuple(rotate_word(raw)))
     assert sorted(t.word) == sorted(raw)  # same outdegree multiset
 
 
@@ -117,8 +115,7 @@ def test_exactness_tv_small_sizes():
 
 def test_sigma_marginal_agreement():
     """sigma(s) frequencies from whole-tree samples match the closed-form
-    law within 3 standard errors per bin, and the direct sigma sampler
-    agrees with the tree route."""
+    law within 3 standard errors per bin."""
     ws = lambda_factorial_weights(1)
     table = build_ztable(ws, 6)
     gen = RandomSource(77).generator()
@@ -127,12 +124,9 @@ def test_sigma_marginal_agreement():
     from_trees = np.zeros(n + 1)
     for _ in range(draws):
         from_trees[sample_tree(table, n, gen).word[0] + 1] += 1
-    direct = np.bincount(sample_sigma_s_many(table, n, draws, RandomSource(78).generator()), minlength=n + 1)
     for k in range(1, n):
         se = math.sqrt(p[k] * (1 - p[k]) / draws)
         assert abs(from_trees[k + 1] / draws - p[k]) < 3.5 * se + 1e-9
-        assert abs(direct[k + 1] / draws - p[k]) < 3.5 * se + 1e-9
-    assert sample_sigma_s(table, 2, RandomSource(1).generator()) == 2
 
 
 def test_determinism_same_seed_same_trees():

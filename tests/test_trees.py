@@ -9,6 +9,7 @@ from sgtree import (
     ball,
     branch_sizes,
     degree_profile,
+    enumerate_trees,
     is_left_subtree,
     left_ball,
     path_tree,
@@ -139,6 +140,28 @@ def test_distance_examples():
     assert tree_distance(star_tree(10), star_tree(20)) == Fraction(1, 11)
 
 
+def _distance_by_radius(t1: PlaneTree, t2: PlaneTree) -> Fraction:
+    """The definition read literally: 1/R at the first radius R where the
+    left balls differ, trying R = 1, 2, 3, ... in turn."""
+    if t1 == t2:
+        return Fraction(0)
+    radius = 1
+    while left_ball(t1, radius) == left_ball(t2, radius):
+        radius += 1
+    return Fraction(1, radius)
+
+
+def test_distance_against_radius_by_radius():
+    """Every pair of trees with at most 6 edges, plus the root-only tree,
+    and two stars that first differ at radius 1500."""
+    trees = [PlaneTree(())] + [t for n in range(1, 7) for t in enumerate_trees(n)]
+    assert len(trees) == 66
+    for t1 in trees:
+        for t2 in trees:
+            assert tree_distance(t1, t2) == _distance_by_radius(t1, t2)
+    assert tree_distance(star_tree(1500), star_tree(1499)) == Fraction(1, 1500)
+
+
 @given(_tree_words(12), _tree_words(12))
 def test_distance_symmetric(w1, w2):
     t1, t2 = PlaneTree(w1), PlaneTree(w2)
@@ -157,11 +180,11 @@ def test_left_subtree():
 
 
 def test_text_round_trip(tmp_path):
-    from sgtree.trees import read_trees, write_trees
+    from sgtree.trees import read_trees
 
     trees = [star_tree(4), path_tree(5), PlaneTree((2, 1, 0, 0))]
     path = tmp_path / "trees.txt"
-    write_trees(trees, str(path))
+    path.write_text("".join(str(t) + "\n" for t in trees), encoding="ascii")
     again = read_trees(str(path))
     assert [t.word for t in again] == [t.word for t in trees]
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sgtree import (
-    check_superexponential,
+    WeightSequence,
     custom_weights,
     factorial_alpha_weights,
     lambda_factorial_weights,
@@ -90,32 +90,26 @@ def test_config_round_trip():
         factorial_alpha_weights(0.4),
         custom_weights(["1", "2", "0.25"]),
     ):
-        from sgtree import WeightSequence
-
         again = WeightSequence.from_config(ws.to_config())
         assert again == ws
 
 
-def test_growth_report_factorial_alpha():
-    report = check_superexponential(factorial_alpha_weights(0.5), 10)
-    # ratio w_{n+1}/w_n = n^0.5
-    for n, r in enumerate(report.ratios, start=1):
-        assert r == pytest.approx(n**0.5, rel=1e-12)
-    assert report.looks_superexponential
-    assert report.warnings == ()
-
-
-def test_growth_report_uniform_warns():
-    report = check_superexponential(uniform_weights(), 10)
-    assert all(r == 1.0 for r in report.ratios)
-    assert not report.looks_superexponential
-    assert report.warnings
-
-
-def test_growth_report_lambda_dip():
-    # lam = 3: the ratio dips to 2/3 at n = 2, then climbs
-    report = check_superexponential(lambda_factorial_weights(3), 10)
-    assert report.ratios[0] == pytest.approx(3.0)
-    assert report.ratios[1] == pytest.approx(2.0 / 3.0)
-    assert report.increasing_from == 2
-    assert report.looks_superexponential
+@pytest.mark.parametrize(
+    "config, names",
+    [
+        ([1, 2], "object"),
+        ({"family": "factorial_alpha"}, "`alpha`"),
+        ({"family": "factorial_alpha", "alpha": None}, "`alpha`"),
+        ({"family": "factorial_alpha", "alpha": "nan"}, "alpha"),
+        ({"family": "factorial_alpha", "alpha": float("inf")}, "alpha"),
+        ({"family": "lambda_factorial"}, "`lam`"),
+        ({"family": "custom"}, "`weights`"),
+        ({"family": "custom", "weights": "111"}, "`weights`"),
+    ],
+    ids=["not_an_object", "no_alpha", "alpha_null", "alpha_nan", "alpha_inf", "no_lam", "no_weights", "weights_string"],
+)
+def test_from_config_rejects_malformed(config, names):
+    """Spec and CLI weights arrive here; each malformed config is a
+    ValueError that names what is wrong."""
+    with pytest.raises(ValueError, match=names):
+        WeightSequence.from_config(config)
