@@ -10,20 +10,8 @@ is +inf.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 LOG_ZERO = float("-inf")
-
-
-def log_sum(values: Iterable[float]) -> float:
-    """log of the sum of e^v over all values; -inf for an empty sum."""
-    vals = list(values)
-    if not vals:
-        return LOG_ZERO
-    m = max(vals)
-    if m == LOG_ZERO:
-        return LOG_ZERO
-    return m + math.log(math.fsum(math.exp(v - m) for v in vals))
 
 
 _LOG_FACTORIALS = [0.0]

@@ -58,13 +58,15 @@ class EnumeratedMeasure:
     """Exact tree measure on all trees of one size.
 
     Weights are Fractions when the family is rational (then probabilities
-    sum to exactly 1), floats otherwise.
+    sum to exactly 1), floats otherwise; float weights are scaled by
+    e^-max(log weight).  log_total is log Z_N in either mode.
     """
 
     n_edges: int
     entries: tuple[tuple[PlaneTree, Weight], ...]
     total: Weight
     exact: bool
+    log_total: float
 
     def probabilities(self) -> dict[tuple[int, ...], Weight]:
         return {t.word: w / self.total for t, w in self.entries}
@@ -91,21 +93,8 @@ def exact_nu(n_edges: int, ws: WeightSequence, cap: int = ENUMERATION_CAP) -> En
         entries = list(zip(trees, weights))
     if total == 0:
         raise ValueError(f"no tree of size {n_edges} carries positive weight")
-    return EnumeratedMeasure(n_edges, tuple(entries), total, exact)
-
-
-def log_total_weight(measure: EnumeratedMeasure, ws: WeightSequence) -> float:
-    """log of sum of tree weights = log Z_N, comparable across modes.
-
-    For the float fallback the stored weights are max-shifted, so the shift
-    is reconstructed from any one entry.
-    """
-    if measure.exact:
-        t: Fraction = measure.total
-        return math.log(t.numerator) - math.log(t.denominator)
-    tree0, w0 = measure.entries[0]
-    shift = math.fsum(ws.log_weight(d + 1) for d in tree0.word) - math.log(w0)
-    return math.log(measure.total) + shift
+    log_total = math.log(total.numerator) - math.log(total.denominator) if exact else math.log(total) + shift
+    return EnumeratedMeasure(n_edges, tuple(entries), total, exact, log_total)
 
 
 def tv_distance(

@@ -21,14 +21,12 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .logdomain import LOG_ZERO, log_sum
+from .logdomain import LOG_ZERO
 from .weights import WeightSequence
 
 DEFAULT_N_MAX_CAP = 1500
@@ -69,26 +67,16 @@ def _log_conv_row(prev: np.ndarray, log_terms: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ShiftInequalityCheck:
-    """Outcome of one Z(N,n) <= eps Z(N,n+1) + C_eps^N verification."""
-
-    applicable: bool
-    holds: Optional[bool]
-    eps: float
-    a_eps: int
-    log_c_eps: float
-    lhs_log: float
-    rhs_log: float
-
-
 class ZTable:
     """Log-domain table of Z(N, n) for 0 <= N, n <= n_max.
 
     The float table is the whole state: n_max is its side less one and
-    log_w follows from the weights.  Immutable after build; concurrent
-    readers are safe.  For rational families exact_z derives a square
-    corner of the table in Fractions on first use.
+    log_w follows from the weights.  The sampler's scalar loop reads
+    row_views (per-row memoryviews sharing the table's memory, so indexing
+    yields a Python float without a copy) and log_w_list.  For rational
+    families exact_z derives a square corner of the table in Fractions on
+    first use; that corner, `_exact`, is the only attribute assigned after
+    construction.
     """
 
     def __init__(self, ws: WeightSequence, log_table: np.ndarray):
@@ -96,11 +84,9 @@ class ZTable:
         self.log_table = log_table
         self.n_max = log_table.shape[0] - 1
         self.log_w = ws.log_weights_upto(self.n_max)  # log_w[d] = log w_{d+1}
+        self.row_views = [memoryview(row) for row in log_table]
+        self.log_w_list: list[float] = self.log_w.tolist()
         self._exact: list[list[Fraction]] = []  # exact corner, rows and columns 0..len-1
-        self._row_views: Optional[list[memoryview]] = None
-        self._log_w_list: Optional[list[float]] = None
-        self._log_sized_w: Optional[np.ndarray] = None  # log(l * w_{l+1})
-        self._shift_cache: dict[float, tuple[int, float]] = {}
 
     # -- raw access ---------------------------------------------------------
 
@@ -123,18 +109,6 @@ class ZTable:
             size = min(self.n_max, max(m, 2 * (len(self._exact) - 1)))
             self._exact = _exact_corner(self.ws, size)
         return self._exact[n_vertices][n]
-
-    def row_views(self) -> list[memoryview]:
-        """Per-row memoryviews of the table for tight scalar loops (sampler):
-        indexing one yields a Python float without copying the table."""
-        if self._row_views is None:
-            self._row_views = [memoryview(row) for row in self.log_table]
-        return self._row_views
-
-    def log_w_as_list(self) -> list[float]:
-        if self._log_w_list is None:
-            self._log_w_list = self.log_w.tolist()
-        return self._log_w_list
 
     # -- partition functions --------------------------------------------------
 
@@ -228,12 +202,6 @@ class ZTable:
 
     # -- identities ------------------------------------------------------------
 
-    def _log_sized_weights(self) -> np.ndarray:
-        if self._log_sized_w is None:
-            with np.errstate(divide="ignore"):
-                self._log_sized_w = np.log(np.arange(self.n_max + 1, dtype=float)) + self.log_w
-        return self._log_sized_w
-
     def sum_identity_residuals(self, n_vertices: int) -> np.ndarray:
         """Relative residuals of sum_l l w_{l+1} Z(N-1, n-l) = (n/N) Z(N, n)
         for every n = 0..n_max of row N; the left sides are one convolution.
@@ -243,9 +211,10 @@ class ZTable:
         """
         if not 1 <= n_vertices <= self.n_max:
             raise ValueError("arguments outside table bound")
-        lhs = _log_conv_row(self.log_table[n_vertices - 1], self._log_sized_weights())
         with np.errstate(divide="ignore", invalid="ignore"):
-            rhs = np.log(np.arange(self.n_max + 1.0)) - math.log(n_vertices) + self.log_table[n_vertices]
+            log_l = np.log(np.arange(self.n_max + 1.0))
+            lhs = _log_conv_row(self.log_table[n_vertices - 1], log_l + self.log_w)
+            rhs = log_l - math.log(n_vertices) + self.log_table[n_vertices]
             out = np.abs(np.expm1(lhs - rhs))
         lhs_zero, rhs_zero = lhs == LOG_ZERO, rhs == LOG_ZERO
         out[lhs_zero != rhs_zero] = np.inf
@@ -265,34 +234,30 @@ class ZTable:
         checked i >= A, and the log of C_eps = sum_{i<=A} w_{i+1}."""
         if eps <= 0:
             raise ValueError("eps must be positive")
-        if eps in self._shift_cache:
-            return self._shift_cache[eps]
-        log_eps = math.log(eps)
-        a_eps = 1
-        for i in range(1, self.n_max + 1):
-            if float(self.log_w[i - 1]) - float(self.log_w[i]) >= log_eps:
-                a_eps = i + 1
+        with np.errstate(invalid="ignore"):  # -inf - -inf where weights vanish
+            (big,) = np.nonzero(self.log_w[:-1] - self.log_w[1:] >= math.log(eps))
+        a_eps = int(big[-1]) + 2 if big.size else 1  # one past the last failing i = big[-1] + 1
         if a_eps > self.n_max:
             raise WeightDecayError(
                 f"no index below {self.n_max} with all later ratios w_i/w_(i+1) < {eps}"
             )
-        log_c = log_sum(float(self.log_w[i]) for i in range(a_eps + 1))
-        self._shift_cache[eps] = (a_eps, log_c)
-        return a_eps, log_c
+        return a_eps, float(np.logaddexp.reduce(self.log_w[: a_eps + 1]))
 
-    def shift_inequality(self, eps: float, n_vertices: int, n: int) -> ShiftInequalityCheck:
-        """Check Z(N,n) <= eps Z(N,n+1) + C_eps^N on stored entries.
+    def shift_inequality_holds(self, eps: float, bound: int) -> np.ndarray:
+        """holds[N-1, n]: Z(N,n) <= eps Z(N,n+1) + C_eps^N, up to a relative
+        slack of 1e-12, for N = 1..bound and n = 0..bound.
 
-        At n = n_max the right side is unavailable and the check reports
-        not-applicable rather than guessing.
+        bound < n_max keeps Z(N, n+1) inside the table for every entry; a
+        bound of 0 gives an empty array and never looks for A_eps.
         """
-        a_eps, log_c = self.shift_index(eps)
-        if n >= self.n_max:
-            return ShiftInequalityCheck(False, None, eps, a_eps, log_c, float("nan"), float("nan"))
-        lhs = float(self.log_table[n_vertices, n])
-        rhs = log_sum([math.log(eps) + float(self.log_table[n_vertices, n + 1]), n_vertices * log_c])
-        holds = lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
-        return ShiftInequalityCheck(True, holds, eps, a_eps, log_c, lhs, rhs)
+        if not 0 <= bound < self.n_max:
+            raise ValueError(f"need 0 <= bound < n_max = {self.n_max}, got {bound}")
+        if bound == 0:
+            return np.ones((0, 1), dtype=bool)
+        _, log_c = self.shift_index(eps)
+        rows = self.log_table[1 : bound + 1]
+        rhs = np.logaddexp(math.log(eps) + rows[:, 1 : bound + 2], np.arange(1, bound + 1)[:, None] * log_c)
+        return rows[:, : bound + 1] <= rhs + 1e-12 * np.maximum(1.0, np.abs(rhs))
 
 
 def _exact_corner(ws: WeightSequence, m: int) -> list[list[Fraction]]:

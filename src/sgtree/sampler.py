@@ -94,9 +94,7 @@ def sample_composition(table: ZTable, n_slots: int, total: int, rng: np.random.G
     if n_slots == 1:
         return [total]
     uniforms = rng.random(n_slots - 1).tolist()
-    return _sample_composition_inner(
-        table.log_w_as_list(), table.row_views(), n_slots, total, uniforms
-    )
+    return _sample_composition_inner(table.log_w_list, table.row_views, n_slots, total, uniforms)
 
 
 def rotate_word(word: Sequence[int]) -> list[int]:

@@ -15,7 +15,6 @@ PUBLIC_NAMES = [
     "PlaneTree",
     "RNG_ALGORITHM",
     "RandomSource",
-    "ShiftInequalityCheck",
     "TableSizeError",
     "WeightDecayError",
     "WeightSequence",
@@ -38,7 +37,6 @@ PUBLIC_NAMES = [
     "left_ball",
     "load_ztable",
     "log_factorial",
-    "log_sum",
     "path_tree",
     "predict",
     "predict_log_zn",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from sgtree import ExperimentSpec, ZTable, build_ztable, lambda_factorial_weights, run_experiment, uniform_weights
 from sgtree.harness import (
     DEGREE_BOUNDS,
+    GAUSSIAN_FLUCTUATIONS,
     IDENTITIES,
     LOGZ_EXPANSION,
     POISSON_SURPLUS,
@@ -41,6 +43,15 @@ def test_spec_validation():
         ExperimentSpec(IDENTITIES, {"family": "uniform"}, (10,), eps_list=(0.5, 0.0))
     with pytest.raises(ValueError, match="eps_list"):
         ExperimentSpec(IDENTITIES, {"family": "uniform"}, (10,), eps_list=())
+    for experiment, weights in [
+        (POISSON_SURPLUS, {"family": "lambda_factorial", "lam": "2"}),
+        (DEGREE_BOUNDS, {"family": "factorial_alpha", "alpha": 0.5}),
+        (GAUSSIAN_FLUCTUATIONS, {"family": "factorial_alpha", "alpha": 0.5}),
+        (STAR_DOMINANCE, {"family": "factorial_alpha", "alpha": 1.5}),
+        (IDENTITIES, {"family": "uniform"}),
+    ]:
+        with pytest.raises(ValueError, match=experiment):  # only the largest size would run
+            ExperimentSpec(experiment, weights, (10, 20))
 
 
 def test_spec_json_round_trip():
@@ -68,6 +79,15 @@ def test_shared_table_must_match():
         STAR_CONVERGENCE, {"family": "factorial_alpha", "alpha": 0.5}, (20,), samples=10
     )
     with pytest.raises(ValueError):
+        run_experiment(spec, table=table)
+
+
+def test_shared_table_must_have_spec_size():
+    """A larger shared table would widen the identity sweep past what the
+    echoed spec reproduces (n_max 30 and 870 checks instead of 20 and 380)."""
+    table = build_ztable(lambda_factorial_weights(1), 30)
+    spec = ExperimentSpec(IDENTITIES, {"family": "lambda_factorial", "lam": "1"}, (20,), eps_list=(0.5,))
+    with pytest.raises(ValueError, match="exactly 20"):
         run_experiment(spec, table=table)
 
 
@@ -230,6 +250,21 @@ def test_identities_exact_mode():
     report = run_experiment(spec)
     assert report.stats["exact_sum_residual_is_zero"] is True
     assert report.passed
+
+
+def test_identities_stats_pinned():
+    """Same spec, same identity statistics, down to the last bit."""
+    digests = []
+    for spec in (
+        ExperimentSpec(IDENTITIES, {"family": "factorial_alpha", "alpha": 0.5}, (120,), eps_list=(0.1, 0.5)),
+        ExperimentSpec(IDENTITIES, {"family": "lambda_factorial", "lam": "1"}, (20,), exact_upto=12),
+    ):
+        stats = run_experiment(spec).stats
+        digests.append(hashlib.sha256(json.dumps(stats, sort_keys=True).encode()).hexdigest())
+    assert digests == [
+        "ffbe613e89bff45cafa65899d108fef29ea0ed34a9827ef4735d7c8122b469d5",
+        "8e190a815bb854411af16d91096bbdfa8aac6fdba145bb7a8ea0bf751e323cd2",
+    ]
 
 
 def test_identities_exact_sweep_on_shared_table(monkeypatch):

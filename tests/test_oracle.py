@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,6 @@ from sgtree import (
     tv_distance,
     uniform_weights,
 )
-from sgtree.oracle import log_total_weight
-
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786]
 
 
@@ -73,7 +72,15 @@ def test_float_fallback_for_irrational_family():
     m = exact_nu(6, ws)
     assert not m.exact
     table = build_ztable(ws, 6)
-    assert log_total_weight(m, ws) == pytest.approx(table.log_z_n(6), abs=1e-12)
+    assert m.log_total == pytest.approx(table.log_z_n(6), abs=1e-12)
+
+
+def test_log_total_when_the_path_tree_underflows():
+    """At alpha = 50.5 the path tree's scaled weight is e^(-760) = 0, yet the
+    stored log total still matches the table."""
+    ws = factorial_alpha_weights(50.5)
+    m = exact_nu(11, ws)
+    assert abs(math.expm1(m.log_total - build_ztable(ws, 11).log_z_n(11))) <= 1e-12
 
 
 def test_oracle_confirms_root_degree_law():

@@ -158,19 +158,16 @@ def test_sum_identity_sweep(table_alpha05_small):
 
 def test_shift_inequality():
     table = build_ztable(factorial_alpha_weights(0.5), 60)
-    a_eps, _ = table.shift_index(0.5)
-    assert a_eps == 5  # least A with A^(-1/2) < 1/2
-    for n_vertices in range(1, 51):
-        for n in range(0, 51):
-            res = table.shift_inequality(0.5, n_vertices, n)
-            assert res.applicable and res.holds
-    boundary = table.shift_inequality(0.5, 10, 60)
-    assert not boundary.applicable and boundary.holds is None
+    assert table.shift_index(0.5)[0] == 5  # least A with A^(-1/2) < 1/2
+    holds = table.shift_inequality_holds(0.5, 50)
+    assert holds.shape == (50, 51) and holds.all()
+    with pytest.raises(ValueError, match="bound"):
+        table.shift_inequality_holds(0.5, 60)  # Z(N, n_max + 1) is not stored
 
 
 def test_shift_inequality_needs_decaying_ratios(table_uniform_small):
     with pytest.raises(WeightDecayError):
-        table_uniform_small.shift_inequality(0.5, 3, 2)
+        table_uniform_small.shift_inequality_holds(0.5, 3)
 
 
 def test_table_size_cap():
