@@ -27,7 +27,6 @@ from .harness import (
     collect_samples,
     run_experiment,
 )
-from .logdomain import LOG_ZERO, log_factorial
 from .oracle import EnumeratedMeasure, enumerate_trees, exact_nu, tv_distance
 from .partition import (
     TableSizeError,

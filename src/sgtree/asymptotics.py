@@ -22,6 +22,8 @@ import numpy as np
 
 DEFAULT_ETA = 0.5  # half-width of the search box around the scales
 _INTEGER_TOL = 1e-9
+_CENTER_TOL = 1e-10  # max |gradient| at a solved center
+_MAX_NEWTON_STEPS = 100
 
 
 class BoundaryHitError(RuntimeError):
@@ -79,23 +81,20 @@ def _moments(m: np.ndarray) -> tuple[float, float]:
     return float(m.sum()), float((idx * m).sum())
 
 
-def profile_objective(
-    alpha: float, n_edges: int, m: Sequence[float], j_max: Optional[int] = None
-) -> float:
+def profile_objective(alpha: float, n_edges: int, m: Sequence[float]) -> float:
     """Log-weight of a degree profile m (m[i-1] counts degree-(i+1) vertices):
 
       sum_i [(1-alpha*i) m_i log N + alpha m_i log(i!) - m_i log m_i + m_i
              - log(2 pi m_i)/2]
       + sum_{j=2}^{j_max} (alpha B^j - A^j) / (j (j-1) N^(j-1)),
 
-    with A = sum m_i and B = sum i m_i.  The correction sum defaults to
+    with A = sum m_i and B = sum i m_i.  The correction sum runs to
     j_max = floor(1/alpha) regardless of the number of coordinates passed.
     """
     m = np.asarray(m, dtype=float)
     if np.any(m <= 0):
         raise ValueError("all coordinates must be positive")
-    if j_max is None:
-        j_max = degree_cutoff(alpha)
+    j_max = degree_cutoff(alpha)
     n = float(n_edges)
     idx = np.arange(1, len(m) + 1)
     log_fact = np.array([math.lgamma(i + 1) for i in idx])
@@ -114,19 +113,18 @@ def profile_objective(
     return value
 
 
-def profile_objective_gradient(
-    alpha: float, n_edges: int, m: Sequence[float], j_max: Optional[int] = None
-) -> np.ndarray:
+def profile_objective_gradient(alpha: float, n_edges: int, m: Sequence[float]) -> np.ndarray:
     """d/dm_i of the profile objective:
 
     (1-alpha*i) log N + alpha log(i!) - log m_i - 1/(2 m_i)
-      + sum_{j=2}^{j_max} (alpha i B^(j-1) - A^(j-1)) / ((j-1) N^(j-1)).
+      + sum_{j=2}^{j_max} (alpha i B^(j-1) - A^(j-1)) / ((j-1) N^(j-1)),
+
+    with j_max = floor(1/alpha) as in the objective.
     """
     m = np.asarray(m, dtype=float)
     if np.any(m <= 0):
         raise ValueError("all coordinates must be positive")
-    if j_max is None:
-        j_max = degree_cutoff(alpha)
+    j_max = degree_cutoff(alpha)
     n = float(n_edges)
     idx = np.arange(1, len(m) + 1)
     log_fact = np.array([math.lgamma(i + 1) for i in idx])
@@ -137,7 +135,8 @@ def profile_objective_gradient(
     return g
 
 
-def _profile_hessian(alpha: float, n_edges: int, m: np.ndarray, j_max: int) -> np.ndarray:
+def _profile_hessian(alpha: float, n_edges: int, m: np.ndarray) -> np.ndarray:
+    j_max = degree_cutoff(alpha)
     n = float(n_edges)
     idx = np.arange(1, len(m) + 1)
     h = np.diag(-1.0 / m + 0.5 / m**2)
@@ -151,18 +150,13 @@ def _profile_hessian(alpha: float, n_edges: int, m: np.ndarray, j_max: int) -> n
     return h
 
 
-def solve_centers(
-    alpha: float,
-    n_edges: int,
-    tol: float = 1e-10,
-    eta: float = DEFAULT_ETA,
-    max_iter: int = 100,
-) -> np.ndarray:
+def solve_centers(alpha: float, n_edges: int, eta: float = DEFAULT_ETA) -> np.ndarray:
     """Stationary point of the profile objective over the Gaussian
     coordinates i < 1/alpha, inside the box [(1-eta) scale_i, (1+eta)
     scale_i].
 
-    Damped Newton from m_i = scale_i; when the line search cannot reduce
+    Damped Newton from m_i = scale_i, to a gradient below _CENTER_TOL in at
+    most _MAX_NEWTON_STEPS steps; when the line search cannot reduce
     the gradient, the box holds no reachable stationary point and
     BoundaryHitError is raised.  In the boundary
     case 1/alpha integral, the Poisson coordinate i = K is excluded (its
@@ -175,15 +169,14 @@ def solve_centers(
     scales = np.array([degree_count_scale(alpha, n_edges, i) for i in indices])
     if scales.min() < 1.0:
         raise ValueError("n_edges too small: some scale_i below 1")
-    j_max = degree_cutoff(alpha)
     lo, hi = (1.0 - eta) * scales, (1.0 + eta) * scales
 
     m = scales.copy()
-    g = profile_objective_gradient(alpha, n_edges, m, j_max)
-    for _ in range(max_iter):
-        if np.abs(g).max() < tol:
+    g = profile_objective_gradient(alpha, n_edges, m)
+    for _ in range(_MAX_NEWTON_STEPS):
+        if np.abs(g).max() < _CENTER_TOL:
             break
-        h = _profile_hessian(alpha, n_edges, m, j_max)
+        h = _profile_hessian(alpha, n_edges, m)
         try:
             step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
@@ -193,7 +186,7 @@ def solve_centers(
         for _ in range(40):
             trial = m + t * step
             if np.all(trial > 0):
-                g_trial = profile_objective_gradient(alpha, n_edges, trial, j_max)
+                g_trial = profile_objective_gradient(alpha, n_edges, trial)
                 if np.abs(g_trial).max() < np.abs(g).max():
                     m, g = trial, g_trial
                     improved = True
@@ -204,7 +197,7 @@ def solve_centers(
                 f"damped Newton stalled at gradient norm {np.abs(g).max():.3e} "
                 f"inside box [{lo}, {hi}]; increase eta or n_edges"
             )
-    if np.abs(g).max() >= tol:
+    if np.abs(g).max() >= _CENTER_TOL:
         raise NoConvergenceError(float(np.abs(g).max()))
     if np.any(m <= lo) or np.any(m >= hi):
         raise BoundaryHitError(
@@ -292,11 +285,11 @@ class AsymptoticPrediction:
         return tuple(out)
 
 
-def predict(alpha: float, n_edges: int, eta: float = DEFAULT_ETA, tol: float = 1e-10) -> AsymptoticPrediction:
+def predict(alpha: float, n_edges: int, eta: float = DEFAULT_ETA) -> AsymptoticPrediction:
     """Solve the centers and assemble every prediction at one (alpha, N)."""
     k = degree_cutoff(alpha)
     scales = tuple(degree_count_scale(alpha, n_edges, i) for i in range(1, k + 1))
-    centers = solve_centers(alpha, n_edges, tol=tol, eta=eta)
+    centers = solve_centers(alpha, n_edges, eta=eta)
     poisson_mean = scales[k - 1] if reciprocal_is_integer(alpha) else None
     return AsymptoticPrediction(
         alpha=alpha,

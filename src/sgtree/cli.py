@@ -11,7 +11,7 @@ from typing import Optional
 
 from . import asymptotics, oracle
 from .harness import ExperimentSpec, collect_samples, draw_words, run_experiment
-from .partition import build_ztable, load_ztable, save_ztable, write_ztable_csv
+from .partition import build_ztable, exact_corner, load_ztable, save_ztable, write_ztable_csv
 from .sampler import RandomSource
 from .trees import read_trees, tree_distance
 from .weights import WeightSequence
@@ -101,7 +101,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         "exact_mode": measure.exact,
     }
     if measure.exact:
-        payload["exact_equal"] = measure.total == table.exact_z_n(args.n)
+        payload["exact_equal"] = measure.total == exact_corner(ws, args.n)[args.n][args.n - 1] / args.n
     print(json.dumps(payload, indent=2))
     return 0 if rel < 1e-9 else 1
 

@@ -12,15 +12,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, TextIO, Union
+from typing import Callable, Iterator, Optional, TextIO
 
 import numpy as np
 
 from . import asymptotics
-from .partition import ZTable, build_ztable
+from .partition import ZTable, build_ztable, worst_exact_sum_residual
 from .sampler import (
     RNG_ALGORITHM,
     RandomSource,
@@ -66,6 +67,14 @@ DEFAULT_TOLERANCES: dict[str, dict[str, float]] = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything needed to reproduce one experiment run."""
@@ -85,6 +94,17 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
+        for name in ("samples", "seed", "stream", "radius", "exact_upto"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name, ok, kind in (("n_list", _is_int, "integers"), ("eps_list", _is_real, "numbers")):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not all(map(ok, values)):
+                raise ValueError(f"{name} must be a list of {kind}, got {values!r}")
+        if not isinstance(self.allow_large, bool):
+            raise ValueError(f"allow_large must be true or false, got {self.allow_large!r}")
+        if not isinstance(self.tolerances, dict) or not all(_is_real(v) and v > 0 for v in self.tolerances.values()):
+            raise ValueError(f"tolerances must map names to positive numbers, got {self.tolerances!r}")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(self, "eps_list", tuple(float(e) for e in self.eps_list))
         if not self.n_list or min(self.n_list) < 1:
@@ -103,10 +123,10 @@ class ExperimentSpec:
         unknown = sorted(set(self.tolerances) - set(known))
         if unknown:
             raise ValueError(f"unknown tolerances {unknown} for {self.experiment}; choose from {sorted(known)}")
-        if any(v <= 0 for v in self.tolerances.values()):
-            raise ValueError("tolerances must be positive")
         if self.exact_upto < 0:
             raise ValueError("exact_upto must be >= 0")
+        if self.exact_upto > 0 and self.experiment != IDENTITIES:
+            raise ValueError(f"{self.experiment} does not read exact_upto; only {IDENTITIES} does")
         # validate early, and spell equal families alike ("lam": 2 and "2")
         ws = WeightSequence.from_config(self.weights)
         if self.exact_upto > 0 and not ws.is_exact:
@@ -184,7 +204,6 @@ class ExperimentReport:
     predictions: dict
     checks: tuple[CheckResult, ...]
     wall_seconds: float
-    rng_algorithm: str = RNG_ALGORITHM
 
     @property
     def passed(self) -> bool:
@@ -194,7 +213,7 @@ class ExperimentReport:
         return {
             "experiment": self.spec.experiment,
             "spec": self.spec.to_dict(),
-            "rng_algorithm": self.rng_algorithm,
+            "rng_algorithm": RNG_ALGORITHM,
             "stats": self.stats,
             "predictions": self.predictions,
             "checks": [c.to_dict() for c in self.checks],
@@ -202,12 +221,8 @@ class ExperimentReport:
             "wall_seconds": self.wall_seconds,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, default=_json_coerce)
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, default=_json_coerce)
 
 
 # -- sampling statistics -------------------------------------------------------
@@ -230,12 +245,8 @@ class SampleBatch:
     branch_size2_count: np.ndarray
     is_star: np.ndarray
 
-    def emit_csv(self, out: Union[str, TextIO]) -> None:
-        """One row per sample, to a file path or an open text stream."""
-        if isinstance(out, str):
-            with open(out, "w", encoding="ascii") as fh:
-                self.emit_csv(fh)
-            return
+    def emit_csv(self, out: TextIO) -> None:
+        """One row per sample, to an open text stream."""
         degrees = sorted(self.degree_counts)
         cols = ["sigma_s"] + [f"x{d}" for d in degrees] + ["max_other_degree", "max_branch_size"]
         out.write(",".join(cols) + "\n")
@@ -348,7 +359,8 @@ def _sample_batch(
     batch = collect_samples(table, max(spec.n_list), spec.samples, gen, track_degrees)
     if emit_csv_dir:
         os.makedirs(emit_csv_dir, exist_ok=True)
-        batch.emit_csv(os.path.join(emit_csv_dir, f"{spec.experiment}_n{batch.n_edges}.csv"))
+        with open(os.path.join(emit_csv_dir, f"{spec.experiment}_n{batch.n_edges}.csv"), "w", encoding="ascii") as fh:
+            batch.emit_csv(fh)
     return batch
 
 
@@ -557,13 +569,7 @@ def _identities(spec, table, gen, emit_csv_dir):
 
     exact_worst = None
     if spec.exact_upto > 0:
-        hi = min(spec.exact_upto, n_max)
-        # largest N first: the first call sizes the exact corner for the whole sweep
-        exact_worst = max(
-            abs(table.sum_identity_exact_residual(n_vertices, n))
-            for n_vertices in range(hi, 0, -1)
-            for n in range(hi + 1)
-        )
+        exact_worst = worst_exact_sum_residual(table.ws, min(spec.exact_upto, n_max))
 
     holds = [table.shift_inequality_holds(eps, min(50, n_max - 1)) for eps in spec.eps_list]
     ineq_all_hold = all(h.all() for h in holds)

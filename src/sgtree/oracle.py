@@ -44,12 +44,12 @@ def _words(n_edges: int) -> Iterator[tuple[int, ...]]:
     return extend(0, 0)
 
 
-def enumerate_trees(n_edges: int, cap: int = ENUMERATION_CAP) -> list[PlaneTree]:
+def enumerate_trees(n_edges: int) -> list[PlaneTree]:
     """Every plane tree with n_edges edges, exactly once."""
     if n_edges < 1:
         raise ValueError("n_edges must be >= 1")
-    if n_edges > cap:
-        raise ValueError(f"n_edges={n_edges} above enumeration cap {cap}")
+    if n_edges > ENUMERATION_CAP:
+        raise ValueError(f"n_edges={n_edges} above enumeration cap {ENUMERATION_CAP}")
     return [PlaneTree(w) for w in _words(n_edges)]
 
 
@@ -72,9 +72,9 @@ class EnumeratedMeasure:
         return {t.word: w / self.total for t, w in self.entries}
 
 
-def exact_nu(n_edges: int, ws: WeightSequence, cap: int = ENUMERATION_CAP) -> EnumeratedMeasure:
+def exact_nu(n_edges: int, ws: WeightSequence) -> EnumeratedMeasure:
     """The tree measure over the full enumeration of one size."""
-    trees = enumerate_trees(n_edges, cap)
+    trees = enumerate_trees(n_edges)
     exact = ws.is_exact
     entries: list[tuple[PlaneTree, Weight]] = []
     if exact:

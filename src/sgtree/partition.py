@@ -3,16 +3,14 @@
 Z(N, n) sums prod_i w_{d_i+1} over all length-N compositions d_1+...+d_N = n.
 Everything about the tree measure reduces to this table:
 
-  Z_N          = Z(N, N-1) / N                   (trees with N edges)
-  Z_N^(m)      = (m/N) Z(N, N-m)                 (ordered forests, m trees)
-  P(sigma(s) = k+1)        ~ k w_{k+1} Z(N-1, N-1-k)
-  P(sigma(s), sigma(s_1))  ~ (k+l-1) w_{k+1} w_{l+1} Z(N-2, N-1-k-l)
+  Z_N                = Z(N, N-1) / N             (trees with N edges)
+  P(sigma(s) = k+1)  ~ k w_{k+1} Z(N-1, N-1-k)
 
 The table is built row by row in the log domain; each row is a log-domain
 convolution of the previous row with the weight sequence, evaluated with a
 per-entry max shift so that entries thousands of log-units apart stay
-accurate.  For families with rational weights a corner of the table is
-also available in exact Fractions, derived on demand.
+accurate.  For families with rational weights, exact_corner computes a
+corner of the same table in Fractions.
 """
 
 from __future__ import annotations
@@ -26,8 +24,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .logdomain import LOG_ZERO
-from .weights import WeightSequence
+from .weights import LOG_ZERO, WeightSequence
 
 DEFAULT_N_MAX_CAP = 1500
 
@@ -73,10 +70,8 @@ class ZTable:
     The float table is the whole state: n_max is its side less one and
     log_w follows from the weights.  The sampler's scalar loop reads
     row_views (per-row memoryviews sharing the table's memory, so indexing
-    yields a Python float without a copy) and log_w_list.  For rational
-    families exact_z derives a square corner of the table in Fractions on
-    first use; that corner, `_exact`, is the only attribute assigned after
-    construction.
+    yields a Python float without a copy) and log_w_list.  Nothing is
+    assigned after construction.
     """
 
     def __init__(self, ws: WeightSequence, log_table: np.ndarray):
@@ -86,7 +81,6 @@ class ZTable:
         self.log_w = ws.log_weights_upto(self.n_max)  # log_w[d] = log w_{d+1}
         self.row_views = [memoryview(row) for row in log_table]
         self.log_w_list: list[float] = self.log_w.tolist()
-        self._exact: list[list[Fraction]] = []  # exact corner, rows and columns 0..len-1
 
     # -- raw access ---------------------------------------------------------
 
@@ -96,20 +90,6 @@ class ZTable:
             raise ValueError(f"(N={n_vertices}, n={n}) outside table bound {self.n_max}")
         return float(self.log_table[n_vertices, n])
 
-    def exact_z(self, n_vertices: int, n: int) -> Fraction:
-        """Z(N, n) as a Fraction; rational weight families only.
-
-        A request past the exact corner rebuilds it at least twice as large
-        (capped at n_max), so an increasing sweep to m rebuilds O(log m) times.
-        """
-        if not (0 <= n_vertices <= self.n_max and 0 <= n <= self.n_max):
-            raise ValueError(f"(N={n_vertices}, n={n}) outside table bound {self.n_max}")
-        m = max(n_vertices, n)
-        if m >= len(self._exact):
-            size = min(self.n_max, max(m, 2 * (len(self._exact) - 1)))
-            self._exact = _exact_corner(self.ws, size)
-        return self._exact[n_vertices][n]
-
     # -- partition functions --------------------------------------------------
 
     def log_z_n(self, n_edges: int) -> float:
@@ -117,20 +97,6 @@ class ZTable:
         if not 1 <= n_edges <= self.n_max:
             raise ValueError(f"N={n_edges} outside table bound {self.n_max}")
         return float(self.log_table[n_edges, n_edges - 1]) - math.log(n_edges)
-
-    def exact_z_n(self, n_edges: int) -> Fraction:
-        return self.exact_z(n_edges, n_edges - 1) / n_edges
-
-    def log_forest_z(self, n_edges: int, m: int) -> float:
-        """log of the ordered-forest partition function (m/N) Z(N, N-m)."""
-        if not 1 <= m <= n_edges <= self.n_max:
-            raise ValueError(f"need 1 <= m <= N <= {self.n_max}, got m={m}, N={n_edges}")
-        return math.log(m) - math.log(n_edges) + float(self.log_table[n_edges, n_edges - m])
-
-    def exact_forest_z(self, n_edges: int, m: int) -> Fraction:
-        if not 1 <= m <= n_edges:
-            raise ValueError(f"need 1 <= m <= N, got m={m}, N={n_edges}")
-        return Fraction(m, n_edges) * self.exact_z(n_edges, n_edges - m)
 
     # -- conditional degree laws ---------------------------------------------
 
@@ -162,44 +128,6 @@ class ZTable:
         p[1:] = np.exp(t)
         return p
 
-    def joint_child_pmf(self, n_edges: int) -> np.ndarray:
-        """P(sigma(s) = k+1, sigma(s_1) = l+1) as a matrix indexed [k, l].
-
-        k = 1..N-1 (rows; row 0 is padding), l = 0..N-2 (columns); s_1 is
-        the first child of s.  Removing r, s and s_1 leaves an ordered
-        forest of k+l-1 trees on N-2 edges, which gives the closed form;
-        the matrix restricted to k, l >= 1 is symmetric.
-        """
-        n = n_edges
-        if n < 3:
-            raise ValueError("joint law needs N >= 3")
-        if n > self.n_max:
-            raise ValueError(f"N={n} outside table bound {self.n_max}")
-        log_zn = self.log_table[n, n - 1]
-        if log_zn == -np.inf:
-            raise ValueError(f"Z({n},{n-1}) = 0: no trees with {n} edges")
-        ks = np.arange(0, n)  # row index k; row 0 stays zero
-        ls = np.arange(0, n - 1)
-        kk, ll = np.meshgrid(ks, ls, indexing="ij")
-        multiplicity = kk + ll - 1  # forest size k+l-1
-        rest = n - 1 - kk - ll  # edges left for the forest interior
-        valid = (kk >= 1) & (multiplicity >= 1) & (rest >= 0)
-        out = np.zeros((n, n - 1))
-        if not valid.any():
-            return out
-        kv, lv = kk[valid], ll[valid]
-        t = (
-            math.log(n)
-            - math.log(n - 2)
-            + np.log(multiplicity[valid].astype(float))
-            + self.log_w[kv]
-            + self.log_w[lv]
-            + self.log_table[n - 2, rest[valid]]
-            - log_zn
-        )
-        out[valid] = np.exp(t)
-        return out
-
     # -- identities ------------------------------------------------------------
 
     def sum_identity_residuals(self, n_vertices: int) -> np.ndarray:
@@ -220,14 +148,6 @@ class ZTable:
         out[lhs_zero != rhs_zero] = np.inf
         out[lhs_zero & rhs_zero] = 0.0
         return out
-
-    def sum_identity_exact_residual(self, n_vertices: int, n: int) -> Fraction:
-        """Exact-mode difference of the same identity; zero when it holds."""
-        lhs = Fraction(0)
-        for el in range(1, n + 1):
-            lhs += el * self.ws.exact_weight(el + 1) * self.exact_z(n_vertices - 1, n - el)
-        rhs = Fraction(n, n_vertices) * self.exact_z(n_vertices, n)
-        return lhs - rhs
 
     def shift_index(self, eps: float) -> tuple[int, float]:
         """(A_eps, log C_eps): least A with w_i/w_{i+1} < eps for all
@@ -260,9 +180,10 @@ class ZTable:
         return rows[:, : bound + 1] <= rhs + 1e-12 * np.maximum(1.0, np.abs(rhs))
 
 
-def _exact_corner(ws: WeightSequence, m: int) -> list[list[Fraction]]:
+def exact_corner(ws: WeightSequence, m: int) -> list[list[Fraction]]:
     """Z(N, n) for N, n <= m in Fractions, by the same row convolution as
-    the log-domain build."""
+    the log-domain build; rational weight families only.  The one source of
+    exact table values."""
     if not ws.is_exact:
         raise ValueError(f"exact values need a rational weight family, not {ws.to_config()}")
     ew = [ws.exact_weight(d + 1) for d in range(m + 1)]
@@ -271,6 +192,19 @@ def _exact_corner(ws: WeightSequence, m: int) -> list[list[Fraction]]:
         prev = rows[-1]
         rows.append([sum((ew[d] * prev[n - d] for d in range(n + 1)), Fraction(0)) for n in range(m + 1)])
     return rows
+
+
+def worst_exact_sum_residual(ws: WeightSequence, m: int) -> Fraction:
+    """Largest |sum_l l w_{l+1} Z(N-1, n-l) - (n/N) Z(N, n)| over
+    1 <= N <= m and 0 <= n <= m, in Fractions from one exact corner; zero
+    when the size-bias identity holds exactly."""
+    z = exact_corner(ws, m)
+    ew = [ws.exact_weight(d + 1) for d in range(m + 1)]
+    return max(
+        abs(sum(el * ew[el] * z[nv - 1][n - el] for el in range(1, n + 1)) - Fraction(n, nv) * z[nv][n])
+        for nv in range(1, m + 1)
+        for n in range(m + 1)
+    )
 
 
 def build_ztable(ws: WeightSequence, n_max: int, allow_large: bool = False) -> ZTable:

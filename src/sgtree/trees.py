@@ -89,8 +89,6 @@ class DegreeProfile:
     """Counts of vertices by degree, including the implicit root in X_1."""
 
     counts: dict[int, int]
-    max_degree: int
-    sigma_s: int
 
     def count(self, degree: int) -> int:
         return self.counts.get(degree, 0)
@@ -100,11 +98,7 @@ def degree_profile(t: PlaneTree) -> DegreeProfile:
     """Degree counts X_i.  Satisfies sum X_i = N+1 and sum i*X_i = 2N."""
     counts = {d + 1: c for d, c in Counter(t.word).items()}
     counts[1] = counts.get(1, 0) + 1  # the root r
-    return DegreeProfile(
-        counts=counts,
-        max_degree=max(counts),
-        sigma_s=t.sigma_s,
-    )
+    return DegreeProfile(counts)
 
 
 def branch_sizes_word(word: tuple[int, ...]) -> list[int]:

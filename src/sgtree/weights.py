@@ -6,6 +6,8 @@ factorial powers w_n = ((n-1)!)^alpha and the variant with w_2 pinned to a
 parameter lam while every other weight stays at (n-1)!.  Values are huge
 (w_n ~ n!^alpha), so the canonical representation is log w_n; families with
 rational weights also expose an exact Fraction view for cross-validation.
+A weight of zero has the log LOG_ZERO = -inf, which IEEE addition keeps
+absorbing in products.
 """
 
 from __future__ import annotations
@@ -17,12 +19,28 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .logdomain import LOG_ZERO, log_factorial
+LOG_ZERO = float("-inf")
 
 UNIFORM = "uniform"
 LAMBDA_FACTORIAL = "lambda_factorial"
 FACTORIAL_ALPHA = "factorial_alpha"
 CUSTOM = "custom"
+
+_LOG_FACTORIALS = [0.0]
+
+
+def log_factorial(n: int) -> float:
+    """log(n!) by cumulative summation of log(k).
+
+    Deliberately not a lgamma call: the running sum is extended one term at
+    a time and cached, so every caller sees bit-identical values within and
+    across runs.
+    """
+    if n < 0:
+        raise ValueError(f"negative factorial argument: {n}")
+    while len(_LOG_FACTORIALS) <= n:
+        _LOG_FACTORIALS.append(_LOG_FACTORIALS[-1] + math.log(len(_LOG_FACTORIALS)))
+    return _LOG_FACTORIALS[n]
 
 
 def _log_fraction(x: Fraction) -> float:
@@ -141,14 +159,19 @@ class WeightSequence:
             raise ValueError(f"unknown weight family in config: {family!r}")
         value = config.get(key)
         if family == CUSTOM:
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"custom weights need a list `weights`, got {value!r}")
+            if not isinstance(value, (list, tuple)) or not all(map(_is_number, value)):
+                raise ValueError(f"custom weights need a list `weights` of numbers, got {value!r}")
             return custom_weights(value)
-        if not isinstance(value, (int, float, str)):
+        if not _is_number(value):
             raise ValueError(f"{family} weights need a number `{key}`, got {value!r}")
         if family == LAMBDA_FACTORIAL:
             return lambda_factorial_weights(value)
         return factorial_alpha_weights(value)
+
+
+def _is_number(value) -> bool:
+    """A number or a decimal string; a bool is neither, though Python counts it an int."""
+    return isinstance(value, (int, float, str)) and not isinstance(value, bool)
 
 
 def uniform_weights() -> WeightSequence:

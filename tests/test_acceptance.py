@@ -37,6 +37,7 @@ from sgtree import (
     tv_distance,
     uniform_weights,
 )
+from sgtree.partition import exact_corner
 
 
 def _check(cid: str, name: str, value: float, op: str, threshold: float) -> None:
@@ -93,10 +94,10 @@ def test_c1_oracle_equivalence():
     rational = [uniform_weights(), lambda_factorial_weights(2), lambda_factorial_weights(1)]
     worst_log = 0.0
     for ws in rational:
-        table = build_ztable(ws, 9)
+        table, exact = build_ztable(ws, 9), exact_corner(ws, 9)
         for n in range(1, 10):
             measure = exact_nu(n, ws)
-            assert measure.total == table.exact_z_n(n)
+            assert measure.total == exact[n][n - 1] / n
             worst_log = max(
                 worst_log, abs(math.expm1(measure.log_total - table.log_z_n(n)))
             )

@@ -11,7 +11,6 @@ PUBLIC_NAMES = [
     "EnumeratedMeasure",
     "ExperimentReport",
     "ExperimentSpec",
-    "LOG_ZERO",
     "PlaneTree",
     "RNG_ALGORITHM",
     "RandomSource",
@@ -36,7 +35,6 @@ PUBLIC_NAMES = [
     "lambda_factorial_weights",
     "left_ball",
     "load_ztable",
-    "log_factorial",
     "path_tree",
     "predict",
     "predict_log_zn",
@@ -64,3 +62,26 @@ def test_public_surface_pinned():
         if not name.startswith("_") and not isinstance(getattr(sgtree, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+ZTABLE_ATTRIBUTES = [
+    "log_table",
+    "log_w",
+    "log_w_list",
+    "log_z",
+    "log_z_n",
+    "n_max",
+    "root_degree_pmf",
+    "row_views",
+    "shift_index",
+    "shift_inequality_holds",
+    "sum_identity_residuals",
+    "ws",
+]
+
+
+def test_ztable_surface_pinned():
+    """The table is its float log values, a few views of them, and the laws
+    and identities read from them; exact values come from exact_corner."""
+    table = sgtree.build_ztable(sgtree.uniform_weights(), 3)
+    assert sorted(name for name in dir(table) if not name.startswith("_")) == ZTABLE_ATTRIBUTES

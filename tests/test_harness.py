@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from sgtree import ExperimentSpec, ZTable, build_ztable, lambda_factorial_weights, run_experiment, uniform_weights
+from sgtree import ExperimentSpec, build_ztable, lambda_factorial_weights, run_experiment, uniform_weights
+from sgtree import partition
 from sgtree.harness import (
     DEGREE_BOUNDS,
     GAUSSIAN_FLUCTUATIONS,
@@ -43,6 +44,29 @@ def test_spec_validation():
         ExperimentSpec(IDENTITIES, {"family": "uniform"}, (10,), eps_list=(0.5, 0.0))
     with pytest.raises(ValueError, match="eps_list"):
         ExperimentSpec(IDENTITIES, {"family": "uniform"}, (10,), eps_list=())
+    # each field takes its own JSON type only: no float for an int, no string or bool for a number
+    uniform = {"experiment": IDENTITIES, "weights": {"family": "uniform"}, "n_list": [10]}
+    for key, value in [
+        ("n_list", [12.7]),
+        ("n_list", ["12"]),
+        ("n_list", [True]),
+        ("n_list", 12),
+        ("samples", 2.5),
+        ("seed", 1.5),
+        ("stream", "0"),
+        ("radius", 2.5),
+        ("exact_upto", True),
+        ("eps_list", ["0.5"]),
+        ("eps_list", [True]),
+        ("tolerances", {"max_sum_residual": "1e-9"}),
+        ("tolerances", {"max_sum_residual": True}),
+        ("tolerances", ["max_sum_residual"]),
+        ("allow_large", "false"),
+    ]:
+        with pytest.raises(ValueError, match=key):
+            ExperimentSpec.from_dict(dict(uniform, **{key: value}))
+    with pytest.raises(ValueError, match="star_dominance"):  # only identities reads exact_upto
+        ExperimentSpec(STAR_DOMINANCE, {"family": "factorial_alpha", "alpha": 1.5}, (10,), exact_upto=5)
     for experiment, weights in [
         (POISSON_SURPLUS, {"family": "lambda_factorial", "lam": "2"}),
         (DEGREE_BOUNDS, {"family": "factorial_alpha", "alpha": 0.5}),
@@ -268,16 +292,14 @@ def test_identities_stats_pinned():
 
 
 def test_identities_exact_sweep_on_shared_table(monkeypatch):
-    """The spec alone sets the exact sweep: 12 x 13 entries on a shared table."""
-    calls = []
-    residual = ZTable.sum_identity_exact_residual
-    monkeypatch.setattr(
-        ZTable, "sum_identity_exact_residual", lambda self, nv, n: calls.append((nv, n)) or residual(self, nv, n)
-    )
+    """The spec alone sets the exact sweep: one corner of size 12 on a 20-row table."""
+    sizes = []
+    corner = partition.exact_corner
+    monkeypatch.setattr(partition, "exact_corner", lambda ws, m: sizes.append(m) or corner(ws, m))
     table = build_ztable(lambda_factorial_weights(1), 20)
     spec = ExperimentSpec(IDENTITIES, {"family": "lambda_factorial", "lam": "1"}, (20,), exact_upto=12, eps_list=(0.5,))
     report = run_experiment(spec, table=table)
-    assert sorted(calls) == [(nv, n) for nv in range(1, 13) for n in range(13)]
+    assert sizes == [12]
     assert report.stats["exact_sum_residual_is_zero"] is True
 
 

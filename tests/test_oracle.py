@@ -13,6 +13,8 @@ from sgtree import (
     tv_distance,
     uniform_weights,
 )
+from sgtree.partition import exact_corner
+
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786]
 
 
@@ -60,11 +62,9 @@ def test_probabilities_sum_to_one_exactly():
 def test_normalization_matches_table():
     """Sum of tree weights equals Z_N = Z(N, N-1)/N, exactly."""
     for ws in (uniform_weights(), lambda_factorial_weights(2)):
-        table = build_ztable(ws, 10)
+        z = exact_corner(ws, 10)
         for n in range(1, 11):
-            m = exact_nu(n, ws)
-            assert m.total == table.exact_z_n(n)
-            assert n * m.total == table.exact_z(n, n - 1)
+            assert n * exact_nu(n, ws).total == z[n][n - 1]
 
 
 def test_float_fallback_for_irrational_family():
@@ -99,21 +99,25 @@ def test_oracle_confirms_root_degree_law():
 
 
 def test_oracle_confirms_joint_law():
-    """Joint (sigma(s), sigma(s_1)) of the exact measure matches the
-    forest-removal formula at N <= 8."""
+    """Joint (sigma(s), sigma(s_1)) = (k+1, l+1) of the exact measure is, in
+    exact arithmetic at N <= 8, the forest-removal formula
+    N (k+l-1) w_{k+1} w_{l+1} Z(N-2, N-1-k-l) / ((N-2) Z(N, N-1)):
+    removing r, s and s_1 leaves an ordered forest of k+l-1 trees on N-2 edges."""
     ws = lambda_factorial_weights(1)
-    table = build_ztable(ws, 8)
+    z = exact_corner(ws, 8)
+    w = [ws.exact_weight(d + 1) for d in range(8)]  # w[d] = w_{d+1}
     for n in (4, 8):
         m = exact_nu(n, ws)
-        joint = table.joint_child_pmf(n)
         acc: dict[tuple[int, int], Fraction] = {}
-        for t, w in m.entries:
-            k = t.sigma_s - 1
-            # sigma(s_1): first child of s sits at word position 1
-            ell = t.word[1] if t.n_edges > 1 else 0
-            acc[(k, ell)] = acc.get((k, ell), Fraction(0)) + w
-        for (k, ell), mass in acc.items():
-            assert float(mass / m.total) == pytest.approx(joint[k, ell], abs=1e-12)
+        for t, weight in m.entries:
+            acc[t.word[:2]] = acc.get(t.word[:2], Fraction(0)) + weight  # s_1 is at word position 1
+        for k in range(1, n):
+            for ell in range(n - 1):
+                rest = n - 1 - k - ell
+                law = Fraction(0)
+                if k + ell >= 2 and rest >= 0:
+                    law = Fraction(n * (k + ell - 1), n - 2) * w[k] * w[ell] * z[n - 2][rest] / z[n][n - 1]
+                assert acc.get((k, ell), 0) / m.total == law
 
 
 def test_tv_distance_basic():

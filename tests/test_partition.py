@@ -17,26 +17,24 @@ from sgtree import (
     save_ztable,
     uniform_weights,
 )
-from sgtree import partition
+from sgtree.partition import exact_corner, worst_exact_sum_residual
 
 
 def test_boundary_rows(table_uniform_small):
-    t = table_uniform_small
-    assert t.exact_z(0, 0) == 1
-    assert all(t.exact_z(0, n) == 0 for n in range(1, 10))
+    t, z = table_uniform_small, exact_corner(uniform_weights(), 9)
+    assert z[0] == [1] + [0] * 9
     # Z(N, 0) = w_1^N
     for n_vertices in range(1, 10):
-        assert t.exact_z(n_vertices, 0) == 1
+        assert z[n_vertices][0] == 1
         assert t.log_z(n_vertices, 0) == 0.0
 
 
-def test_known_small_values(table_uniform_small, table_lam1_small):
+def test_known_small_values():
     # stars-and-bars: uniform Z(3,2) = C(4,2) = 6
-    assert table_uniform_small.exact_z(3, 2) == 6
+    assert exact_corner(uniform_weights(), 3)[3][2] == 6
     # hand enumeration with w_2 = lam: Z(3,2) = 6 + 3 lam^2
-    assert table_lam1_small.exact_z(3, 2) == 9
-    t2 = build_ztable(lambda_factorial_weights(2), 4)
-    assert t2.exact_z(3, 2) == 6 + 3 * 4
+    assert exact_corner(lambda_factorial_weights(1), 3)[3][2] == 9
+    assert exact_corner(lambda_factorial_weights(2), 4)[3][2] == 6 + 3 * 4
 
 
 def test_single_row_is_weights():
@@ -46,20 +44,19 @@ def test_single_row_is_weights():
         assert t.log_z(1, n) == pytest.approx(ws.log_weight(n + 1), rel=1e-14)
 
 
-def test_z_n_values(table_uniform_small, table_lam1_small):
-    assert table_uniform_small.exact_z_n(1) == 1  # the single edge
-    assert table_uniform_small.exact_z_n(3) == 2
-    assert table_lam1_small.exact_z_n(3) == 3
+def test_z_n_values(table_uniform_small):
+    z = exact_corner(uniform_weights(), 3)
+    assert z[1][0] == 1  # Z_1 = Z(1, 0): the single edge
+    assert z[3][2] / 3 == 2  # Z_N = Z(N, N-1) / N
+    assert exact_corner(lambda_factorial_weights(1), 3)[3][2] / 3 == 3
     assert math.exp(table_uniform_small.log_z_n(3)) == pytest.approx(2.0, rel=1e-12)
 
 
-def test_forest_values(table_uniform_small):
-    t = table_uniform_small
-    for n in range(1, 10):
-        assert t.log_forest_z(n, 1) == pytest.approx(t.log_z_n(n), rel=1e-14)
-    assert math.exp(t.log_forest_z(2, 2)) == pytest.approx(1.0, rel=1e-12)
-    assert math.exp(t.log_forest_z(3, 2)) == pytest.approx(2.0, rel=1e-12)
-    assert t.exact_forest_z(3, 2) == 2
+def test_forest_values():
+    """(m/N) Z(N, N-m) counts ordered forests of m trees with N edges."""
+    z = exact_corner(uniform_weights(), 3)
+    assert Fraction(2, 2) * z[2][0] == 1  # two single edges
+    assert Fraction(2, 3) * z[3][1] == 2  # a single edge beside a 2-edge tree, in either order
 
 
 def test_recurrence_consistency():
@@ -89,7 +86,7 @@ def _compositions(n_slots, total):
 def test_exact_entries_against_composition_enumeration(family):
     """Independent oracle: brute-force sum over compositions."""
     ws = uniform_weights() if family == "uniform" else lambda_factorial_weights(2)
-    table = build_ztable(ws, 12)
+    exact = exact_corner(ws, 12)
     grid = [(nv, n) for nv in range(1, 8) for n in range(0, 8)]
     grid += [(12, 3), (11, 4), (10, 2)]
     for n_vertices, n in grid:
@@ -99,7 +96,7 @@ def test_exact_entries_against_composition_enumeration(family):
             for d in comp:
                 w *= ws.exact_weight(d + 1)
             direct += w
-        assert direct == table.exact_z(n_vertices, n)
+        assert direct == exact[n_vertices][n]
 
 
 def test_root_degree_pmf_examples(table_uniform_small, table_lam1_small):
@@ -119,32 +116,13 @@ def test_root_degree_pmf_normalization(table_alpha05_small):
         assert abs(total - 1.0) < 1e-10
 
 
-def test_joint_pmf(table_uniform_small, table_lam1_small):
-    j = table_uniform_small.joint_child_pmf(3)
-    assert j[1, 1] == pytest.approx(0.5, rel=1e-12)  # the path tree
-    j = table_lam1_small.joint_child_pmf(3)
-    assert j[2, 0] == pytest.approx(2.0 / 3.0, rel=1e-12)
-
-
-def test_joint_pmf_symmetry_and_marginal(table_lam1_small, table_alpha05_small):
-    for table, n in ((table_lam1_small, 8), (table_alpha05_small, 25)):
-        j = table.joint_child_pmf(n)
-        sub = j[1:, 1:]
-        width = min(sub.shape)
-        square = sub[:width, :width]
-        assert np.allclose(square, square.T, rtol=0, atol=1e-15)
-        marginal = j.sum(axis=1)
-        p = table.root_degree_pmf(n)
-        assert np.allclose(marginal, p, rtol=1e-10, atol=1e-12)
-
-
 def test_sum_identity(table_uniform_small):
     t = table_uniform_small
     # hand computation: lhs = Z(2,1) + 2 Z(2,0) = 4 = (2/3) Z(3,2)
     assert t.sum_identity_residuals(3)[2] < 1e-14
     assert t.sum_identity_residuals(3)[0] == 0.0
     assert t.sum_identity_residuals(1)[5] < 1e-14  # reduces to k w_{k+1} both sides
-    assert t.sum_identity_exact_residual(3, 2) == 0
+    assert worst_exact_sum_residual(uniform_weights(), 3) == 0
 
 
 def test_sum_identity_sweep(table_alpha05_small):
@@ -178,10 +156,10 @@ def test_table_size_cap():
 def test_zero_weight_family_zero_entries():
     # support only at degrees 1 and 3: odd-size constraints leave gaps
     ws = custom_weights(["1", "0", "1"])
-    t = build_ztable(ws, 8)
-    assert t.exact_z(2, 3) == 0
+    t, z = build_ztable(ws, 8), exact_corner(ws, 8)
+    assert z[2][3] == 0
     assert t.log_z(2, 3) == -math.inf
-    assert t.exact_z(2, 4) == 1  # both slots outdegree 2
+    assert z[2][4] == 1  # both slots outdegree 2
 
 
 def test_save_load_round_trip(tmp_path):
@@ -193,7 +171,6 @@ def test_save_load_round_trip(tmp_path):
     assert again.n_max == 30
     assert again.ws == ws
     assert np.array_equal(again.log_table, table.log_table)
-    assert again.exact_z(8, 7) == table.exact_z(8, 7)
     with open(path, "rb") as fh:
         assert fh.read(4) == b"SGTZ"
 
@@ -282,21 +259,9 @@ def test_load_rejects_row_1_not_the_weights(tmp_path):
         load_ztable(_sgtz_file(tmp_path, log_table.tobytes(), weights=lam2))
 
 
-def test_exact_corner_grows_on_demand(monkeypatch):
-    """An increasing sweep rebuilds the corner at doubling sizes, capped at n_max."""
-    sizes = []
-    build = partition._exact_corner
-    monkeypatch.setattr(partition, "_exact_corner", lambda ws, m: sizes.append(m) or build(ws, m))
-    table = build_ztable(lambda_factorial_weights(1), 20)
-    for m in range(21):
-        table.exact_z(m, m)
-    assert sizes == [0, 1, 2, 4, 8, 16, 20]
-    assert table.exact_z(20, 19) == build(lambda_factorial_weights(1), 20)[20][19]
-
-
-def test_exact_z_needs_rational_weights(table_alpha05_small):
+def test_exact_z_needs_rational_weights():
     with pytest.raises(ValueError, match="rational"):
-        table_alpha05_small.exact_z(2, 1)
+        exact_corner(factorial_alpha_weights(0.5), 2)
 
 
 def test_csv_dump(tmp_path):

@@ -61,7 +61,7 @@ def test_generated_words_are_valid(word):
 def test_degree_profile_star_and_path():
     star = star_tree(5)
     prof = degree_profile(star)
-    assert prof.sigma_s == 5
+    assert star.sigma_s == 5
     assert prof.counts == {1: 5, 5: 1}  # four leaves plus r, and s itself
     path = path_tree(3)
     assert degree_profile(path).counts == {1: 2, 2: 2}

@@ -10,7 +10,28 @@ from sgtree import (
     lambda_factorial_weights,
     uniform_weights,
 )
-from sgtree.logdomain import LOG_ZERO
+from sgtree.weights import LOG_ZERO, log_factorial
+
+
+def test_multiplication_is_addition_with_absorbing_zero():
+    # products of underlying quantities: -inf + finite = -inf under IEEE
+    assert LOG_ZERO + 3.0 == LOG_ZERO
+    assert LOG_ZERO + LOG_ZERO == LOG_ZERO
+
+
+def test_log_factorial_cumulative():
+    assert log_factorial(0) == 0.0
+    assert log_factorial(1) == 0.0
+    # against exact big-integer logs, loose enough for the running sum
+    for n in (5, 50, 500):
+        assert abs(log_factorial(n) - math.log(math.factorial(n))) < 1e-9
+    # deterministic across repeated calls
+    assert log_factorial(300) == log_factorial(300)
+
+
+def test_log_factorial_rejects_negative():
+    with pytest.raises(ValueError):
+        log_factorial(-1)
 
 
 def test_log_weight_examples():
@@ -105,8 +126,14 @@ def test_config_round_trip():
         ({"family": "lambda_factorial"}, "`lam`"),
         ({"family": "custom"}, "`weights`"),
         ({"family": "custom", "weights": "111"}, "`weights`"),
+        ({"family": "factorial_alpha", "alpha": True}, "`alpha`"),
+        ({"family": "lambda_factorial", "lam": True}, "`lam`"),
+        ({"family": "custom", "weights": ["1", True, "1"]}, "`weights`"),
     ],
-    ids=["not_an_object", "no_alpha", "alpha_null", "alpha_nan", "alpha_inf", "no_lam", "no_weights", "weights_string"],
+    ids=[
+        "not_an_object", "no_alpha", "alpha_null", "alpha_nan", "alpha_inf", "no_lam", "no_weights", "weights_string",
+        "alpha_bool", "lam_bool", "weight_entry_bool",
+    ],
 )
 def test_from_config_rejects_malformed(config, names):
     """Spec and CLI weights arrive here; each malformed config is a
