@@ -36,20 +36,16 @@ class NoConvergenceError(RuntimeError):
         self.grad_norm = grad_norm
 
 
+def reciprocal_is_integer(alpha: float) -> bool:
+    recip = 1.0 / alpha
+    return abs(recip - round(recip)) < _INTEGER_TOL
+
+
 def degree_cutoff(alpha: float) -> int:
     """K = floor(1/alpha): the largest observable small-degree index."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    recip = 1.0 / alpha
-    near = round(recip)
-    if abs(recip - near) < _INTEGER_TOL:
-        return int(near)
-    return int(math.floor(recip))
-
-
-def reciprocal_is_integer(alpha: float) -> bool:
-    recip = 1.0 / alpha
-    return abs(recip - round(recip)) < _INTEGER_TOL
+    return round(1.0 / alpha) if reciprocal_is_integer(alpha) else math.floor(1.0 / alpha)
 
 
 def gaussian_indices(alpha: float) -> list[int]:
@@ -76,20 +72,16 @@ def center_first_order(alpha: float, n_edges: int, i: int) -> float:
     return scale * (1.0 - (1.0 - i * alpha) * n_edges ** (-alpha))
 
 
-def _moments(m: np.ndarray) -> tuple[float, float]:
-    idx = np.arange(1, len(m) + 1)
-    return float(m.sum()), float((idx * m).sum())
+def _profile(alpha: float, n_edges: int, m: Sequence[float]) -> tuple[float, np.ndarray, np.ndarray]:
+    """Value, gradient and Hessian of the log-weight of a degree profile m
+    (m[i-1] counts degree-(i+1) vertices), with A = sum m_i, B = sum i m_i
+    and j = 2..floor(1/alpha) however many coordinates are passed:
 
-
-def profile_objective(alpha: float, n_edges: int, m: Sequence[float]) -> float:
-    """Log-weight of a degree profile m (m[i-1] counts degree-(i+1) vertices):
-
-      sum_i [(1-alpha*i) m_i log N + alpha m_i log(i!) - m_i log m_i + m_i
-             - log(2 pi m_i)/2]
-      + sum_{j=2}^{j_max} (alpha B^j - A^j) / (j (j-1) N^(j-1)),
-
-    with A = sum m_i and B = sum i m_i.  The correction sum runs to
-    j_max = floor(1/alpha) regardless of the number of coordinates passed.
+      value   = sum_i [(1-alpha*i) m_i log N + alpha m_i log(i!) - m_i log m_i + m_i
+                - log(2 pi m_i)/2] + sum_j (alpha B^j - A^j) / (j (j-1) N^(j-1)),
+      grad_i  = (1-alpha*i) log N + alpha log(i!) - log m_i - 1/(2 m_i)
+                + sum_j (alpha i B^(j-1) - A^(j-1)) / ((j-1) N^(j-1)),
+      hess_ik = [i == k] (1/(2 m_i^2) - 1/m_i) + sum_j (alpha i k B^(j-2) - A^(j-2)) / N^(j-1).
     """
     m = np.asarray(m, dtype=float)
     if np.any(m <= 0):
@@ -98,56 +90,35 @@ def profile_objective(alpha: float, n_edges: int, m: Sequence[float]) -> float:
     n = float(n_edges)
     idx = np.arange(1, len(m) + 1)
     log_fact = np.array([math.lgamma(i + 1) for i in idx])
+    log_m = np.log(m)
     value = float(
         np.sum(
             (1.0 - alpha * idx) * m * math.log(n)
             + alpha * m * log_fact
-            - m * np.log(m)
+            - m * log_m
             + m
             - 0.5 * np.log(2.0 * math.pi * m)
         )
     )
-    a, b = _moments(m)
+    grad = (1.0 - alpha * idx) * math.log(n) + alpha * log_fact - log_m - 0.5 / m
+    hess = np.diag(-1.0 / m + 0.5 / m**2)
+    a, b = float(m.sum()), float((idx * m).sum())
+    pair = alpha * np.outer(idx, idx)
     for j in range(2, j_max + 1):
         value += (alpha * b**j - a**j) / (j * (j - 1) * n ** (j - 1))
-    return value
+        grad += (alpha * idx * b ** (j - 1) - a ** (j - 1)) / ((j - 1) * n ** (j - 1))
+        hess += (pair * b ** (j - 2) - a ** (j - 2)) / n ** (j - 1)
+    return value, grad, hess
+
+
+def profile_objective(alpha: float, n_edges: int, m: Sequence[float]) -> float:
+    """The profile objective at m (see _profile)."""
+    return _profile(alpha, n_edges, m)[0]
 
 
 def profile_objective_gradient(alpha: float, n_edges: int, m: Sequence[float]) -> np.ndarray:
-    """d/dm_i of the profile objective:
-
-    (1-alpha*i) log N + alpha log(i!) - log m_i - 1/(2 m_i)
-      + sum_{j=2}^{j_max} (alpha i B^(j-1) - A^(j-1)) / ((j-1) N^(j-1)),
-
-    with j_max = floor(1/alpha) as in the objective.
-    """
-    m = np.asarray(m, dtype=float)
-    if np.any(m <= 0):
-        raise ValueError("all coordinates must be positive")
-    j_max = degree_cutoff(alpha)
-    n = float(n_edges)
-    idx = np.arange(1, len(m) + 1)
-    log_fact = np.array([math.lgamma(i + 1) for i in idx])
-    g = (1.0 - alpha * idx) * math.log(n) + alpha * log_fact - np.log(m) - 0.5 / m
-    a, b = _moments(m)
-    for j in range(2, j_max + 1):
-        g += (alpha * idx * b ** (j - 1) - a ** (j - 1)) / ((j - 1) * n ** (j - 1))
-    return g
-
-
-def _profile_hessian(alpha: float, n_edges: int, m: np.ndarray) -> np.ndarray:
-    j_max = degree_cutoff(alpha)
-    n = float(n_edges)
-    idx = np.arange(1, len(m) + 1)
-    h = np.diag(-1.0 / m + 0.5 / m**2)
-    a, b = _moments(m)
-    for j in range(2, j_max + 1):
-        outer = alpha * np.outer(idx, idx) * b ** max(j - 2, 0)
-        if j == 2:
-            h += (outer - 1.0) / n
-        else:
-            h += (outer - a ** (j - 2)) / n ** (j - 1)
-    return h
+    """d/dm_i of the profile objective at m (see _profile)."""
+    return _profile(alpha, n_edges, m)[1]
 
 
 def solve_centers(alpha: float, n_edges: int, eta: float = DEFAULT_ETA) -> np.ndarray:
@@ -172,27 +143,24 @@ def solve_centers(alpha: float, n_edges: int, eta: float = DEFAULT_ETA) -> np.nd
     lo, hi = (1.0 - eta) * scales, (1.0 + eta) * scales
 
     m = scales.copy()
-    g = profile_objective_gradient(alpha, n_edges, m)
+    _, g, h = _profile(alpha, n_edges, m)
     for _ in range(_MAX_NEWTON_STEPS):
         if np.abs(g).max() < _CENTER_TOL:
             break
-        h = _profile_hessian(alpha, n_edges, m)
         try:
             step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
             step = g * m  # gradient ascent scaled to the coordinate size
         t = 1.0
-        improved = False
         for _ in range(40):
             trial = m + t * step
             if np.all(trial > 0):
-                g_trial = profile_objective_gradient(alpha, n_edges, trial)
+                _, g_trial, h_trial = _profile(alpha, n_edges, trial)
                 if np.abs(g_trial).max() < np.abs(g).max():
-                    m, g = trial, g_trial
-                    improved = True
+                    m, g, h = trial, g_trial, h_trial
                     break
             t *= 0.5
-        if not improved:
+        else:
             raise BoundaryHitError(
                 f"damped Newton stalled at gradient norm {np.abs(g).max():.3e} "
                 f"inside box [{lo}, {hi}]; increase eta or n_edges"
@@ -264,7 +232,6 @@ class AsymptoticPrediction:
     centers: tuple[float, ...]  # solved centers for i < 1/alpha
     poisson_mean: Optional[float]  # K!^alpha when 1/alpha is an integer
     objective_max: float
-    eta: float
     log_zn: float
 
     @property
@@ -299,6 +266,5 @@ def predict(alpha: float, n_edges: int, eta: float = DEFAULT_ETA) -> AsymptoticP
         centers=tuple(float(c) for c in centers),
         poisson_mean=poisson_mean,
         objective_max=profile_objective(alpha, n_edges, centers),
-        eta=eta,
         log_zn=predict_log_zn(REGIME_ALPHA_LT_1, alpha, n_edges),
     )

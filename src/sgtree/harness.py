@@ -66,6 +66,9 @@ DEFAULT_TOLERANCES: dict[str, dict[str, float]] = {
     IDENTITIES: {"max_sum_residual": 1e-9},
 }
 
+# a field only one experiment reads -> that experiment; elsewhere it keeps its default
+_ONE_READER_FIELDS = {"radius": STAR_CONVERGENCE, "eps_list": IDENTITIES, "exact_upto": IDENTITIES}
+
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -87,7 +90,7 @@ class ExperimentSpec:
     stream: int = 0
     radius: int = 3  # star_convergence only
     eps_list: tuple[float, ...] = (0.1, 0.5)  # identities only
-    exact_upto: int = 0
+    exact_upto: int = 0  # identities only
     allow_large: bool = False
     tolerances: dict = field(default_factory=dict)
 
@@ -117,6 +120,8 @@ class ExperimentSpec:
             raise ValueError("every eps in eps_list must be positive")
         if len(self.n_list) > 1 and self.experiment not in (STAR_CONVERGENCE, LOGZ_EXPANSION):
             raise ValueError(f"{self.experiment} runs at one size; got n_list {list(self.n_list)}")
+        if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
+            raise ValueError(f"n_list must be strictly increasing; got {list(self.n_list)}")
         if self.experiment == IDENTITIES and not self.eps_list:
             raise ValueError("identities needs a non-empty eps_list")
         known = DEFAULT_TOLERANCES[self.experiment]
@@ -125,8 +130,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown tolerances {unknown} for {self.experiment}; choose from {sorted(known)}")
         if self.exact_upto < 0:
             raise ValueError("exact_upto must be >= 0")
-        if self.exact_upto > 0 and self.experiment != IDENTITIES:
-            raise ValueError(f"{self.experiment} does not read exact_upto; only {IDENTITIES} does")
+        for name, reader in _ONE_READER_FIELDS.items():
+            if self.experiment != reader and getattr(self, name) != getattr(ExperimentSpec, name):
+                raise ValueError(f"{self.experiment} does not read {name}; only {reader} does")
         # validate early, and spell equal families alike ("lam": 2 and "2")
         ws = WeightSequence.from_config(self.weights)
         if self.exact_upto > 0 and not ws.is_exact:
@@ -149,27 +155,19 @@ class ExperimentSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentSpec":
+        if not isinstance(d, dict):
+            raise ValueError(f"a spec must be a JSON object, got {type(d).__name__}")
         unknown = sorted(set(d) - {f.name for f in dataclasses.fields(ExperimentSpec)})
         if unknown:
             raise ValueError(f"unknown spec keys: {unknown}")
+        missing = sorted({"experiment", "weights", "n_list"} - set(d))
+        if missing:
+            raise ValueError(f"missing spec keys: {missing}")
         return ExperimentSpec(**d)
 
     @staticmethod
     def from_json(text: str) -> "ExperimentSpec":
         return ExperimentSpec.from_dict(json.loads(text))
-
-
-def _json_coerce(obj):
-    """numpy scalars/arrays slip into stats; JSON needs plain types."""
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 @dataclass(frozen=True)
@@ -222,7 +220,7 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, default=_json_coerce)
+        return json.dumps(self.to_dict(), indent=2)
 
 
 # -- sampling statistics -------------------------------------------------------

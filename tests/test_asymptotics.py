@@ -13,7 +13,7 @@ from sgtree import (
     profile_objective_gradient,
     solve_centers,
 )
-from sgtree.asymptotics import degree_cutoff, gaussian_indices, reciprocal_is_integer
+from sgtree.asymptotics import _profile, degree_cutoff, gaussian_indices, reciprocal_is_integer
 
 
 def test_degree_cutoff():
@@ -66,9 +66,11 @@ def test_objective_decreases_when_doubled():
 
 
 def test_gradient_matches_finite_differences():
-    """Central differences at random points of the search box."""
+    """Central differences at random points of the search box: of the
+    objective against the gradient, and of the gradient against the Hessian."""
     rng = np.random.default_rng(42)
     worst = 0.0
+    worst_hessian = 0.0
     # relative against max(1, |g|): the gradient's natural scale is O(1)
     for alpha, n in [(0.45, 1500), (0.4, 1000), (0.3, 2000)]:
         k = degree_cutoff(alpha)
@@ -76,6 +78,8 @@ def test_gradient_matches_finite_differences():
         for _ in range(40):
             m = scales * rng.uniform(0.6, 1.4, size=k)
             g = profile_objective_gradient(alpha, n, m)
+            hess = _profile(alpha, n, m)[2]
+            fd_hess = np.empty((k, k))
             for i in range(k):
                 h = 1e-4 * m[i]
                 up, dn = m.copy(), m.copy()
@@ -84,7 +88,11 @@ def test_gradient_matches_finite_differences():
                 fd = (profile_objective(alpha, n, up) - profile_objective(alpha, n, dn)) / (2 * h)
                 rel = abs(g[i] - fd) / max(1.0, abs(g[i]))
                 worst = max(worst, rel)
+                fd_g = profile_objective_gradient(alpha, n, up) - profile_objective_gradient(alpha, n, dn)
+                fd_hess[:, i] = fd_g / (2 * h)
+            worst_hessian = max(worst_hessian, np.abs(hess - fd_hess).max() / np.abs(hess).max())
     assert worst < 1e-6
+    assert worst_hessian < 1e-6
 
 
 def test_solver_converges_interior():

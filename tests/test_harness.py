@@ -65,8 +65,22 @@ def test_spec_validation():
     ]:
         with pytest.raises(ValueError, match=key):
             ExperimentSpec.from_dict(dict(uniform, **{key: value}))
-    with pytest.raises(ValueError, match="star_dominance"):  # only identities reads exact_upto
-        ExperimentSpec(STAR_DOMINANCE, {"family": "factorial_alpha", "alpha": 1.5}, (10,), exact_upto=5)
+    # radius is read by star_convergence only, eps_list and exact_upto by identities only
+    star = {"experiment": STAR_DOMINANCE, "weights": {"family": "factorial_alpha", "alpha": 1.5}, "n_list": [10]}
+    for key, value in [("radius", 5), ("eps_list", [0.2]), ("exact_upto", 5)]:
+        with pytest.raises(ValueError, match=f"star_dominance does not read {key}"):
+            ExperimentSpec.from_dict(dict(star, **{key: value}))
+    with pytest.raises(ValueError, match="identities does not read radius"):
+        ExperimentSpec.from_dict(dict(uniform, radius=5))
+    with pytest.raises(ValueError, match="star_convergence does not read eps_list"):
+        ExperimentSpec.from_dict(dict(star, experiment=STAR_CONVERGENCE, eps_list=[0.5]))
+    # the defaults, as every echoed spec carries them, are accepted anywhere
+    echoed = ExperimentSpec.from_dict(dict(star, radius=3, eps_list=[0.1, 0.5], exact_upto=0))
+    assert (echoed.radius, echoed.eps_list, echoed.exact_upto) == (3, (0.1, 0.5), 0)
+    for experiment in (STAR_CONVERGENCE, LOGZ_EXPANSION):
+        for n_list in ((80, 20), (20, 20)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                ExperimentSpec(experiment, {"family": "factorial_alpha", "alpha": 0.5}, n_list)
     for experiment, weights in [
         (POISSON_SURPLUS, {"family": "lambda_factorial", "lam": "2"}),
         (DEGREE_BOUNDS, {"family": "factorial_alpha", "alpha": 0.5}),
@@ -132,6 +146,14 @@ def test_unknown_spec_key_rejected():
     del d["truncate"]
     with pytest.raises(ValueError, match="sampels"):
         ExperimentSpec.from_json(json.dumps(dict(d, sampels=5)))
+    for key in ("experiment", "weights", "n_list"):
+        with pytest.raises(ValueError, match=f"missing spec keys: \\['{key}'\\]"):
+            ExperimentSpec.from_dict({k: v for k, v in d.items() if k != key})
+    with pytest.raises(ValueError, match="missing spec keys"):
+        ExperimentSpec.from_json("{}")
+    for not_object in ([], "identities", 10, None):
+        with pytest.raises(ValueError, match="JSON object"):
+            ExperimentSpec.from_json(json.dumps(not_object))
 
 
 def test_weights_normalized_for_shared_table():
@@ -190,6 +212,7 @@ def test_star_convergence_runner():
         tolerances={"min_final_fraction": 0.75, "trend_slack": 0.08},
     )
     report = run_experiment(spec)
+    assert json.loads(report.to_json())["stats"] == report.stats  # plain JSON types only
     fr = report.stats["fractions"]
     assert len(fr) == 3
     assert fr[-1] >= 0.75
@@ -211,6 +234,7 @@ def test_poisson_surplus_runner_small():
         tolerances={"zn_rel_error": 0.05, "tv_poisson": 0.08, "min_branch_frequency": 0.9},
     )
     report = run_experiment(spec)
+    assert json.loads(report.to_json())["stats"] == report.stats  # plain JSON types only
     assert report.passed
     assert report.stats["tv_surplus_poisson"] < 0.08
 
@@ -230,6 +254,7 @@ def test_degree_bounds_runner_small():
         },
     )
     report = run_experiment(spec)
+    assert json.loads(report.to_json())["stats"] == report.stats  # plain JSON types only
     assert report.passed
     assert "tv_boundary_poisson" in report.stats
 
@@ -239,6 +264,7 @@ def test_logz_expansion_runner():
         LOGZ_EXPANSION, {"family": "factorial_alpha", "alpha": 0.6}, (50, 100, 200), seed=15
     )
     report = run_experiment(spec)
+    assert json.loads(report.to_json())["stats"] == report.stats  # plain JSON types only
     assert report.passed
     assert list(report.stats["residuals"]) == ["50", "100", "200"]
 
@@ -253,6 +279,7 @@ def test_star_dominance_runner():
         tolerances={"zn_rel_error": 0.02, "min_star_frequency": 0.95},
     )
     report = run_experiment(spec)
+    assert json.loads(report.to_json())["stats"] == report.stats  # plain JSON types only
     assert report.passed
     assert report.stats["star_frequency"] >= 0.95
 
@@ -262,6 +289,7 @@ def test_identities_runner():
         IDENTITIES, {"family": "factorial_alpha", "alpha": 0.5}, (120,), exact_upto=0, seed=17
     )
     report = run_experiment(spec)
+    assert json.loads(report.to_json())["stats"] == report.stats  # plain JSON types only
     assert report.passed
     assert report.stats["worst_sum_residual"] < 1e-9
     assert report.stats["shift_inequality_all_hold"]
