@@ -20,14 +20,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-DEFAULT_ETA = 0.5  # half-width of the search box around the scales
+_BOX_HALF_WIDTH = 0.5  # centers must lie within this fraction of their scales
 _INTEGER_TOL = 1e-9
 _CENTER_TOL = 1e-10  # max |gradient| at a solved center
 _MAX_NEWTON_STEPS = 100
 
 
 class BoundaryHitError(RuntimeError):
-    """Stationary point escaped the search box: eta too small or N too small."""
+    """No stationary point inside the search box: N too small."""
 
 
 class NoConvergenceError(RuntimeError):
@@ -104,10 +104,13 @@ def _profile(alpha: float, n_edges: int, m: Sequence[float]) -> tuple[float, np.
     hess = np.diag(-1.0 / m + 0.5 / m**2)
     a, b = float(m.sum()), float((idx * m).sum())
     pair = alpha * np.outer(idx, idx)
-    for j in range(2, j_max + 1):
-        value += (alpha * b**j - a**j) / (j * (j - 1) * n ** (j - 1))
-        grad += (alpha * idx * b ** (j - 1) - a ** (j - 1)) / ((j - 1) * n ** (j - 1))
-        hess += (pair * b ** (j - 2) - a ** (j - 2)) / n ** (j - 1)
+    try:
+        for j in range(2, j_max + 1):
+            value += (alpha * b**j - a**j) / (j * (j - 1) * n ** (j - 1))
+            grad += (alpha * idx * b ** (j - 1) - a ** (j - 1)) / ((j - 1) * n ** (j - 1))
+            hess += (pair * b ** (j - 2) - a ** (j - 2)) / n ** (j - 1)
+    except OverflowError:
+        raise ValueError(f"profile overflows a float at alpha={alpha}, N={n_edges}, m={m.tolist()}") from None
     return value, grad, hess
 
 
@@ -121,10 +124,9 @@ def profile_objective_gradient(alpha: float, n_edges: int, m: Sequence[float]) -
     return _profile(alpha, n_edges, m)[1]
 
 
-def solve_centers(alpha: float, n_edges: int, eta: float = DEFAULT_ETA) -> np.ndarray:
+def solve_centers(alpha: float, n_edges: int) -> np.ndarray:
     """Stationary point of the profile objective over the Gaussian
-    coordinates i < 1/alpha, inside the box [(1-eta) scale_i, (1+eta)
-    scale_i].
+    coordinates i < 1/alpha, inside the box [scale_i / 2, 3 scale_i / 2].
 
     Damped Newton from m_i = scale_i, to a gradient below _CENTER_TOL in at
     most _MAX_NEWTON_STEPS steps; when the line search cannot reduce
@@ -140,7 +142,7 @@ def solve_centers(alpha: float, n_edges: int, eta: float = DEFAULT_ETA) -> np.nd
     scales = np.array([degree_count_scale(alpha, n_edges, i) for i in indices])
     if scales.min() < 1.0:
         raise ValueError("n_edges too small: some scale_i below 1")
-    lo, hi = (1.0 - eta) * scales, (1.0 + eta) * scales
+    lo, hi = (1.0 - _BOX_HALF_WIDTH) * scales, (1.0 + _BOX_HALF_WIDTH) * scales
 
     m = scales.copy()
     _, g, h = _profile(alpha, n_edges, m)
@@ -163,13 +165,13 @@ def solve_centers(alpha: float, n_edges: int, eta: float = DEFAULT_ETA) -> np.nd
         else:
             raise BoundaryHitError(
                 f"damped Newton stalled at gradient norm {np.abs(g).max():.3e} "
-                f"inside box [{lo}, {hi}]; increase eta or n_edges"
+                f"inside box [{lo}, {hi}]; increase n_edges"
             )
     if np.abs(g).max() >= _CENTER_TOL:
         raise NoConvergenceError(float(np.abs(g).max()))
     if np.any(m <= lo) or np.any(m >= hi):
         raise BoundaryHitError(
-            f"stationary point {m} outside box [{lo}, {hi}]; increase eta or n_edges"
+            f"stationary point {m} outside box [{lo}, {hi}]; increase n_edges"
         )
     return m
 
@@ -252,11 +254,11 @@ class AsymptoticPrediction:
         return tuple(out)
 
 
-def predict(alpha: float, n_edges: int, eta: float = DEFAULT_ETA) -> AsymptoticPrediction:
+def predict(alpha: float, n_edges: int) -> AsymptoticPrediction:
     """Solve the centers and assemble every prediction at one (alpha, N)."""
     k = degree_cutoff(alpha)
     scales = tuple(degree_count_scale(alpha, n_edges, i) for i in range(1, k + 1))
-    centers = solve_centers(alpha, n_edges, eta=eta)
+    centers = solve_centers(alpha, n_edges)
     poisson_mean = scales[k - 1] if reciprocal_is_integer(alpha) else None
     return AsymptoticPrediction(
         alpha=alpha,

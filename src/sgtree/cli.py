@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -40,9 +41,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.table:
         table = load_ztable(args.table)
         if table.ws.to_config() != ws.to_config():
-            raise SystemExit("table weight family does not match --weights")
+            raise ValueError("table weight family does not match --weights")
         if table.n_max < args.n:
-            raise SystemExit(f"table bound {table.n_max} below requested size {args.n}")
+            raise ValueError(f"table bound {table.n_max} below requested size {args.n}")
     else:
         table = build_ztable(ws, args.n, allow_large=args.allow_large)
     gen = RandomSource(args.seed, args.stream).generator()
@@ -63,25 +64,14 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     left = read_trees(args.file_a)
     right = read_trees(args.file_b)
     if not left or not right:
-        raise SystemExit("both files must contain at least one tree")
+        raise ValueError("both files must contain at least one tree")
     d = tree_distance(left[0], right[0])
     print(str(d))
     return 0
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    prediction = asymptotics.predict(args.alpha, args.n, eta=args.eta)
-    payload = {
-        "alpha": prediction.alpha,
-        "n_edges": prediction.n_edges,
-        "k_cutoff": prediction.k_cutoff,
-        "scales": list(prediction.scales),
-        "centers": list(prediction.centers),
-        "poisson_mean": prediction.poisson_mean,
-        "objective_max": prediction.objective_max,
-        "log_zn_prediction": prediction.log_zn,
-    }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(dataclasses.asdict(asymptotics.predict(args.alpha, args.n)), indent=2))
     return 0
 
 
@@ -157,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="asymptotic predictions for factorial-power weights")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eta", type=float, default=asymptotics.DEFAULT_ETA)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("oracle-check", help="compare the table against full enumeration")
@@ -175,8 +164,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one subcommand; bad input (a spec, weights, a table file, or a
+    size the solver or the table cannot take) is one line on stderr and
+    exit code 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, asymptotics.BoundaryHitError) as exc:
+        print(f"sgtree: error: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

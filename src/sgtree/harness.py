@@ -39,36 +39,6 @@ LOGZ_EXPANSION = "logz_expansion"
 STAR_DOMINANCE = "star_dominance"
 IDENTITIES = "identities"
 
-EXPERIMENTS = (
-    STAR_CONVERGENCE,
-    POISSON_SURPLUS,
-    DEGREE_BOUNDS,
-    GAUSSIAN_FLUCTUATIONS,
-    LOGZ_EXPANSION,
-    STAR_DOMINANCE,
-    IDENTITIES,
-)
-
-DEFAULT_TOLERANCES: dict[str, dict[str, float]] = {
-    STAR_CONVERGENCE: {"min_final_fraction": 0.85, "trend_slack": 0.05},
-    POISSON_SURPLUS: {"zn_rel_error": 0.01, "tv_poisson": 0.05, "min_branch_frequency": 0.95},
-    DEGREE_BOUNDS: {
-        "min_degree_bound_frequency": 0.99,
-        "min_branch_bound_frequency": 0.99,
-        "ratio_lo": 0.8,
-        "ratio_hi": 1.2,
-        "min_ratio_frequency": 0.95,
-        "tv_poisson": 0.05,
-    },
-    GAUSSIAN_FLUCTUATIONS: {"ks": 0.03, "max_abs_corr": 0.05},
-    LOGZ_EXPANSION: {"residual_coeff": 5.0, "coarse_lo": 0.5, "coarse_hi": 1.5},
-    STAR_DOMINANCE: {"zn_rel_error": 0.01, "min_star_frequency": 0.99},
-    IDENTITIES: {"max_sum_residual": 1e-9},
-}
-
-# a field only one experiment reads -> that experiment; elsewhere it keeps its default
-_ONE_READER_FIELDS = {"radius": STAR_CONVERGENCE, "eps_list": IDENTITIES, "exact_upto": IDENTITIES}
-
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -95,15 +65,16 @@ class ExperimentSpec:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
+        if self.experiment not in _KINDS:
+            raise ValueError(f"unknown experiment {self.experiment!r}; choose from {tuple(_KINDS)}")
+        kind = _KINDS[self.experiment]
         for name in ("samples", "seed", "stream", "radius", "exact_upto"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name, ok, kind in (("n_list", _is_int, "integers"), ("eps_list", _is_real, "numbers")):
+        for name, ok, what in (("n_list", _is_int, "integers"), ("eps_list", _is_real, "numbers")):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)) or not all(map(ok, values)):
-                raise ValueError(f"{name} must be a list of {kind}, got {values!r}")
+                raise ValueError(f"{name} must be a list of {what}, got {values!r}")
         if not isinstance(self.allow_large, bool):
             raise ValueError(f"allow_large must be true or false, got {self.allow_large!r}")
         if not isinstance(self.tolerances, dict) or not all(_is_real(v) and v > 0 for v in self.tolerances.values()):
@@ -118,21 +89,22 @@ class ExperimentSpec:
             raise ValueError("radius must be >= 1")
         if not all(eps > 0 for eps in self.eps_list):
             raise ValueError("every eps in eps_list must be positive")
-        if len(self.n_list) > 1 and self.experiment not in (STAR_CONVERGENCE, LOGZ_EXPANSION):
+        if len(self.n_list) > 1 and not kind.multi_size:
             raise ValueError(f"{self.experiment} runs at one size; got n_list {list(self.n_list)}")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ValueError(f"n_list must be strictly increasing; got {list(self.n_list)}")
         if self.experiment == IDENTITIES and not self.eps_list:
             raise ValueError("identities needs a non-empty eps_list")
-        known = DEFAULT_TOLERANCES[self.experiment]
-        unknown = sorted(set(self.tolerances) - set(known))
+        unknown = sorted(set(self.tolerances) - set(kind.tolerances))
         if unknown:
-            raise ValueError(f"unknown tolerances {unknown} for {self.experiment}; choose from {sorted(known)}")
+            known = sorted(kind.tolerances)
+            raise ValueError(f"unknown tolerances {unknown} for {self.experiment}; choose from {known}")
         if self.exact_upto < 0:
             raise ValueError("exact_upto must be >= 0")
-        for name, reader in _ONE_READER_FIELDS.items():
-            if self.experiment != reader and getattr(self, name) != getattr(ExperimentSpec, name):
-                raise ValueError(f"{self.experiment} does not read {name}; only {reader} does")
+        for reader, other in _KINDS.items():  # a field only one kind reads keeps its default elsewhere
+            for name in other.own_fields:
+                if reader != self.experiment and getattr(self, name) != getattr(ExperimentSpec, name):
+                    raise ValueError(f"{self.experiment} does not read {name}; only {reader} does")
         # validate early, and spell equal families alike ("lam": 2 and "2")
         ws = WeightSequence.from_config(self.weights)
         if self.exact_upto > 0 and not ws.is_exact:
@@ -143,9 +115,7 @@ class ExperimentSpec:
         return WeightSequence.from_config(self.weights)
 
     def tolerance(self, name: str) -> float:
-        if name in self.tolerances:
-            return float(self.tolerances[name])
-        return DEFAULT_TOLERANCES[self.experiment][name]
+        return float(self.tolerances.get(name, _KINDS[self.experiment].tolerances[name]))
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -312,8 +282,6 @@ def _ks_to_standard_normal(z: np.ndarray) -> float:
     return float(max(upper, lower))
 
 
-
-
 # -- runner ---------------------------------------------------------------------
 
 
@@ -325,12 +293,12 @@ def run_experiment(
     """The one runner: check the weight family, build (or reuse) the table,
     key the generator, and time the experiment's body into a report."""
     t0 = time.perf_counter()
-    (families, accepts), body = _EXPERIMENT_BODIES[spec.experiment]
-    if not accepts(spec.weight_sequence()):
-        raise ValueError(f"{spec.experiment} runs on {families}")
+    kind = _KINDS[spec.experiment]
+    if not kind.accepts(spec.weight_sequence()):
+        raise ValueError(f"{spec.experiment} runs on {kind.families}")
     table = _build_table(spec, table)
     gen = RandomSource(spec.seed, spec.stream).generator()
-    stats, predictions, checks = body(spec, table, gen, emit_csv_dir)
+    stats, predictions, checks = kind.body(spec, table, gen, emit_csv_dir)
     return ExperimentReport(spec, stats, predictions, tuple(checks), time.perf_counter() - t0)
 
 
@@ -589,21 +557,42 @@ def _identities(spec, table, gen, emit_csv_dir):
     return stats, {}, checks
 
 
-_ANY_FAMILY = ("any weight family", lambda ws: True)
-_LAMBDA_FACTORIAL = ("the lambda_factorial family", lambda ws: ws.family == "lambda_factorial")
-_ALPHA_BELOW_1 = (
-    "factorial_alpha with alpha in (0, 1)",
-    lambda ws: ws.family == "factorial_alpha" and 0 < ws.alpha < 1,
-)
-_ALPHA_ABOVE_1 = ("factorial_alpha with alpha > 1", lambda ws: ws.family == "factorial_alpha" and ws.alpha > 1)
+@dataclass(frozen=True)
+class _Kind:
+    """One experiment kind: its body, the weight families it runs on (as
+    text and as a test), its default tolerances, the spec fields only it
+    reads, and whether it runs on more than one size."""
 
-# experiment -> ((weight families it runs on, test on the weights), body)
-_EXPERIMENT_BODIES: dict[str, tuple[tuple[str, Callable[[WeightSequence], bool]], Callable]] = {
-    STAR_CONVERGENCE: (_ANY_FAMILY, _star_convergence),
-    POISSON_SURPLUS: (_LAMBDA_FACTORIAL, _poisson_surplus),
-    DEGREE_BOUNDS: (_ALPHA_BELOW_1, _degree_bounds),
-    GAUSSIAN_FLUCTUATIONS: (_ALPHA_BELOW_1, _gaussian_fluctuations),
-    LOGZ_EXPANSION: (_ALPHA_BELOW_1, _logz_expansion),
-    STAR_DOMINANCE: (_ALPHA_ABOVE_1, _star_dominance),
-    IDENTITIES: (_ANY_FAMILY, _identities),
+    body: Callable
+    families: str
+    accepts: Callable[[WeightSequence], bool]
+    tolerances: dict[str, float]
+    own_fields: tuple[str, ...] = ()
+    multi_size: bool = False
+
+
+_ANY_FAMILY = ("any weight family", lambda ws: True)
+_ALPHA_BELOW_1 = ("factorial_alpha with alpha in (0, 1)", lambda ws: ws.family == "factorial_alpha" and 0 < ws.alpha < 1)
+_ALPHA_ABOVE_1 = ("factorial_alpha with alpha > 1", lambda ws: ws.family == "factorial_alpha" and ws.alpha > 1)
+# uniform ratios w_i/w_(i+1) never fall below eps, so the shift index A_eps does not exist
+_NOT_UNIFORM = ("any weight family but uniform", lambda ws: ws.family != "uniform")
+
+_KINDS: dict[str, _Kind] = {
+    STAR_CONVERGENCE: _Kind(
+        _star_convergence, *_ANY_FAMILY, {"min_final_fraction": 0.85, "trend_slack": 0.05}, ("radius",), multi_size=True
+    ),
+    POISSON_SURPLUS: _Kind(
+        _poisson_surplus, "the lambda_factorial family", lambda ws: ws.family == "lambda_factorial",
+        {"zn_rel_error": 0.01, "tv_poisson": 0.05, "min_branch_frequency": 0.95},
+    ),
+    DEGREE_BOUNDS: _Kind(_degree_bounds, *_ALPHA_BELOW_1, {
+        "min_degree_bound_frequency": 0.99, "min_branch_bound_frequency": 0.99, "ratio_lo": 0.8,
+        "ratio_hi": 1.2, "min_ratio_frequency": 0.95, "tv_poisson": 0.05,
+    }),
+    GAUSSIAN_FLUCTUATIONS: _Kind(_gaussian_fluctuations, *_ALPHA_BELOW_1, {"ks": 0.03, "max_abs_corr": 0.05}),
+    LOGZ_EXPANSION: _Kind(
+        _logz_expansion, *_ALPHA_BELOW_1, {"residual_coeff": 5.0, "coarse_lo": 0.5, "coarse_hi": 1.5}, multi_size=True
+    ),
+    STAR_DOMINANCE: _Kind(_star_dominance, *_ALPHA_ABOVE_1, {"zn_rel_error": 0.01, "min_star_frequency": 0.99}),
+    IDENTITIES: _Kind(_identities, *_NOT_UNIFORM, {"max_sum_residual": 1e-9}, ("eps_list", "exact_upto")),
 }

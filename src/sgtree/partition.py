@@ -82,14 +82,6 @@ class ZTable:
         self.row_views = [memoryview(row) for row in log_table]
         self.log_w_list: list[float] = self.log_w.tolist()
 
-    # -- raw access ---------------------------------------------------------
-
-    def log_z(self, n_vertices: int, n: int) -> float:
-        """log Z(N, n)."""
-        if not (0 <= n_vertices <= self.n_max and 0 <= n <= self.n_max):
-            raise ValueError(f"(N={n_vertices}, n={n}) outside table bound {self.n_max}")
-        return float(self.log_table[n_vertices, n])
-
     # -- partition functions --------------------------------------------------
 
     def log_z_n(self, n_edges: int) -> float:

@@ -43,19 +43,22 @@ class RandomSource:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sample_composition_inner(
-    log_w: list[float],
-    rows: Sequence[memoryview],
-    n_slots: int,
-    total: int,
-    uniforms: list[float],
-) -> list[int]:
-    """Tight scalar loop behind sample_composition.
+def sample_composition(table: ZTable, n_slots: int, total: int, rng: np.random.Generator) -> list[int]:
+    """Draw (d_1, ..., d_N) with sum `total`, distributed ~ prod w_{d_i+1}.
 
-    Scans the conditional pmf from d = 0 upward; the probabilities sum to 1
-    analytically, and any float shortfall (~1e-14 mass) falls back to the
-    largest d seen with positive probability.
+    Requires Z(N, total) > 0; with all-positive weights that always holds.
+    Each slot scans its conditional pmf from d = 0 upward; the probabilities
+    sum to 1 analytically, and any float shortfall (~1e-14 mass) falls back
+    to the largest d seen with positive probability.
     """
+    if not (1 <= n_slots <= table.n_max and 0 <= total <= table.n_max):
+        raise ValueError("arguments outside table bound")
+    if table.log_table[n_slots, total] == -math.inf:
+        raise ValueError(f"Z({n_slots},{total}) = 0: no admissible composition")
+    if n_slots == 1:
+        return [total]
+    uniforms = rng.random(n_slots - 1).tolist()
+    log_w, rows = table.log_w_list, table.row_views
     out: list[int] = []
     n = total
     exp = math.exp
@@ -80,21 +83,6 @@ def _sample_composition_inner(
         n -= d
     out.append(n)
     return out
-
-
-def sample_composition(table: ZTable, n_slots: int, total: int, rng: np.random.Generator) -> list[int]:
-    """Draw (d_1, ..., d_N) with sum `total`, distributed ~ prod w_{d_i+1}.
-
-    Requires Z(N, total) > 0; with all-positive weights that always holds.
-    """
-    if not (1 <= n_slots <= table.n_max and 0 <= total <= table.n_max):
-        raise ValueError("arguments outside table bound")
-    if table.log_z(n_slots, total) == -math.inf:
-        raise ValueError(f"Z({n_slots},{total}) = 0: no admissible composition")
-    if n_slots == 1:
-        return [total]
-    uniforms = rng.random(n_slots - 1).tolist()
-    return _sample_composition_inner(table.log_w_list, table.row_views, n_slots, total, uniforms)
 
 
 def rotate_word(word: Sequence[int]) -> list[int]:

@@ -68,7 +68,6 @@ ZTABLE_ATTRIBUTES = [
     "log_table",
     "log_w",
     "log_w_list",
-    "log_z",
     "log_z_n",
     "n_max",
     "root_degree_pmf",

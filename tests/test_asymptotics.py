@@ -105,15 +105,28 @@ def test_solver_converges_interior():
             assert 0.5 * scale < m[i] < 1.5 * scale
 
 
-def test_solver_boundary_hit_with_thin_box():
-    with pytest.raises(BoundaryHitError):
-        solve_centers(0.5, 100, eta=0.01)
+def test_solver_boundary_hit_outside_box():
+    """At alpha=0.3, N=5 the stationary point lies outside [scale/2, 3 scale/2]."""
+    with pytest.raises(BoundaryHitError, match="outside box") as info:
+        solve_centers(0.3, 5)
+    assert "increase n_edges" in str(info.value)
+
+
+def test_profile_overflow_is_value_error():
+    """Where B^floor(1/alpha) overflows a float, the error names alpha, N and m."""
+    for fn in (profile_objective, profile_objective_gradient):
+        with pytest.raises(ValueError, match=r"alpha=0\.3, N=100, m=\[1e\+120\]"):
+            fn(0.3, 100, [1e120])
 
 
 def test_predict_newton_stall_raises_boundary_hit():
-    """At alpha=0.15, N=491 the damped-Newton line search makes no progress."""
+    """At alpha=0.15, N=491 and N=300 the damped-Newton line search makes no
+    progress; only a larger N can fix that, and the message says so."""
     with pytest.raises(BoundaryHitError, match="stalled"):
         predict(0.15, 491)
+    with pytest.raises(BoundaryHitError, match="stalled") as info:
+        solve_centers(0.15, 300)
+    assert "increase n_edges" in str(info.value) and "eta" not in str(info.value)
 
 
 def test_center_ratio_approaches_one():

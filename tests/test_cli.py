@@ -1,12 +1,53 @@
+import argparse
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from sgtree.cli import main
+from sgtree import AsymptoticPrediction, predict_log_zn
+from sgtree.cli import build_parser, main
+
+CLI_OPTIONS = [
+    ("distance", "file_a"),
+    ("distance", "file_b"),
+    ("experiment", "--emit-csv"),
+    ("experiment", "--out"),
+    ("experiment", "--spec"),
+    ("oracle-check", "--n"),
+    ("oracle-check", "--weights"),
+    ("predict", "--alpha"),
+    ("predict", "--n"),
+    ("sample", "--allow-large"),
+    ("sample", "--count"),
+    ("sample", "--n"),
+    ("sample", "--out"),
+    ("sample", "--seed"),
+    ("sample", "--stats-only"),
+    ("sample", "--stream"),
+    ("sample", "--table"),
+    ("sample", "--weights"),
+    ("ztable", "--allow-large"),
+    ("ztable", "--dump-csv"),
+    ("ztable", "--nmax"),
+    ("ztable", "--out"),
+    ("ztable", "--weights"),
+]
 
 
-def test_ztable_build_and_sample_round_trip(tmp_path):
+def test_cli_surface_pinned():
+    """Adding or removing a subcommand or an option means editing this list."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    pairs = sorted(
+        (command, action.option_strings[0] if action.option_strings else action.dest)
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+    )
+    assert pairs == CLI_OPTIONS
+
+
+def test_ztable_build_and_sample_round_trip(tmp_path, capsys):
     table_path = str(tmp_path / "u.sgtz")
     rc = main(
         [
@@ -50,6 +91,12 @@ def test_ztable_build_and_sample_round_trip(tmp_path):
     for line in lines:
         t = PlaneTree.from_text(line)
         assert t.n_edges == 8
+    # a table of another family, or too small for --n, is one stderr line and exit code 2
+    capsys.readouterr()
+    for weights, n in (('{"family": "lambda_factorial", "lam": "1"}', "8"), ('{"family": "uniform"}', "20")):
+        assert main(["sample", "--weights", weights, "--n", n, "--table", table_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sgtree: error: table ") and err.count("\n") == 1
 
 
 def test_sample_missing_table_fails(tmp_path):
@@ -126,6 +173,8 @@ def test_predict_command(capsys):
     assert payload["k_cutoff"] == 2
     assert payload["scales"][0] == pytest.approx(20.0)
     assert payload["poisson_mean"] == pytest.approx(2**0.5)
+    assert list(payload) == [f.name for f in dataclasses.fields(AsymptoticPrediction)]
+    assert payload["log_zn"] == predict_log_zn("alpha_lt_1", 0.5, 400)
 
 
 def test_oracle_check_command(capsys):
@@ -166,3 +215,15 @@ def test_experiment_failing_exit_code(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     assert main(["experiment", "--spec", str(spec_path)]) == 1
+
+
+@pytest.mark.parametrize("spec", [[], {"experiment": "identities", "n_list": [10]}])
+def test_experiment_bad_spec_is_one_line(tmp_path, capsys, spec):
+    """A spec the harness rejects is one stderr line and exit code 2, not a traceback."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["experiment", "--spec", str(spec_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sgtree: error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sgtree import ExperimentSpec, build_ztable, lambda_factorial_weights, run_experiment, uniform_weights
-from sgtree import partition
+from sgtree import harness, partition
 from sgtree.harness import (
     DEGREE_BOUNDS,
     GAUSSIAN_FLUCTUATIONS,
@@ -105,10 +105,14 @@ def test_spec_json_round_trip():
     assert again == spec
 
 
-def test_runner_mismatched_family_rejected():
+def test_runner_mismatched_family_rejected(monkeypatch):
     spec = ExperimentSpec(POISSON_SURPLUS, {"family": "uniform"}, (20,))
     with pytest.raises(ValueError):
         run_experiment(spec)
+    # uniform ratios never fall below eps, so identities has no shift index: rejected before the build
+    monkeypatch.setattr(harness, "build_ztable", lambda *args, **kwargs: pytest.fail("table built"))
+    with pytest.raises(ValueError, match="identities runs on any weight family but uniform"):
+        run_experiment(ExperimentSpec(IDENTITIES, {"family": "uniform"}, (20,)))
 
 
 def test_shared_table_must_match():
