@@ -30,7 +30,6 @@ from .harness import (
 from .oracle import EnumeratedMeasure, enumerate_trees, exact_nu, tv_distance
 from .partition import (
     TableSizeError,
-    WeightDecayError,
     ZTable,
     build_ztable,
     load_ztable,
@@ -57,6 +56,7 @@ from .trees import (
     tree_distance,
 )
 from .weights import (
+    WeightDecayError,
     WeightSequence,
     custom_weights,
     factorial_alpha_weights,

@@ -8,8 +8,9 @@ count of degree-(i+1) vertices lives on the scale
 
 diverges for i < 1/alpha (Gaussian fluctuations around a center found by
 maximizing a concave profile objective), and is Poisson with constant mean
-K!^alpha in the boundary case where 1/alpha is an integer.  The same
-objective yields expansions of log Z_N per growth regime.
+K!^alpha in the boundary case where 1/alpha is an integer.  Expansions of
+log Z_N are read off the weights, whose family and alpha fix the growth
+regime.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .weights import FACTORIAL_ALPHA, LAMBDA_FACTORIAL, WeightSequence, factorial_alpha_weights
 
 _BOX_HALF_WIDTH = 0.5  # centers must lie within this fraction of their scales
 _INTEGER_TOL = 1e-9
@@ -165,43 +168,35 @@ def solve_centers(alpha: float, n_edges: int) -> np.ndarray:
         else:
             raise BoundaryHitError(
                 f"damped Newton stalled at gradient norm {np.abs(g).max():.3e} "
-                f"inside box [{lo}, {hi}]; increase n_edges"
+                f"inside box [{lo.tolist()}, {hi.tolist()}]; increase n_edges"
             )
     if np.abs(g).max() >= _CENTER_TOL:
         raise NoConvergenceError(float(np.abs(g).max()))
     if np.any(m <= lo) or np.any(m >= hi):
         raise BoundaryHitError(
-            f"stationary point {m} outside box [{lo}, {hi}]; increase n_edges"
+            f"stationary point {m.tolist()} outside box [{lo.tolist()}, {hi.tolist()}]; increase n_edges"
         )
     return m
 
 
-REGIME_LAMBDA = "lambda_factorial"
-REGIME_ALPHA_LT_1 = "alpha_lt_1"
-REGIME_ALPHA_GT_1 = "alpha_gt_1"
+def predict_log_zn(ws: WeightSequence, n_edges: int) -> float:
+    """Closed-form log Z_N expansion (error terms dropped) in the growth
+    regime the weights fix; other weights (uniform, custom, alpha = 1) raise
+    ValueError:
 
-
-def predict_log_zn(regime: str, param: float, n_edges: int) -> float:
-    """Closed-form log Z_N expansion per weight regime (error terms dropped).
-
-    lambda_factorial: log Z_N = lam + log((N-1)!)
-    alpha_lt_1:       alpha log((N-1)!) + N^(1-a) + (2^a - (1-a)/2) N^(1-2a)
-    alpha_gt_1:       alpha log((N-1)!)
+      lambda_factorial:           lam + log((N-1)!)
+      factorial_alpha, alpha < 1: alpha log((N-1)!) + N^(1-a) + (2^a - (1-a)/2) N^(1-2a)
+      factorial_alpha, alpha > 1: alpha log((N-1)!)
     """
     lg = math.lgamma(n_edges)
-    if regime == REGIME_LAMBDA:
-        return float(param) + lg
-    if regime == REGIME_ALPHA_LT_1:
-        a = float(param)
-        if not 0 < a < 1:
-            raise ValueError("alpha_lt_1 regime needs alpha in (0, 1)")
+    if ws.family == LAMBDA_FACTORIAL:
+        return float(ws.lam) + lg
+    a = ws.alpha
+    if ws.family == FACTORIAL_ALPHA and a < 1:
         return a * lg + n_edges ** (1 - a) + (2**a - (1 - a) / 2) * n_edges ** (1 - 2 * a)
-    if regime == REGIME_ALPHA_GT_1:
-        a = float(param)
-        if a <= 1:
-            raise ValueError("alpha_gt_1 regime needs alpha > 1")
+    if ws.family == FACTORIAL_ALPHA and a > 1:
         return a * lg
-    raise ValueError(f"unsupported regime: {regime!r}")
+    raise ValueError(f"no log Z_N expansion for {ws.to_config()}")
 
 
 @dataclass(frozen=True)
@@ -268,5 +263,5 @@ def predict(alpha: float, n_edges: int) -> AsymptoticPrediction:
         centers=tuple(float(c) for c in centers),
         poisson_mean=poisson_mean,
         objective_max=profile_objective(alpha, n_edges, centers),
-        log_zn=predict_log_zn(REGIME_ALPHA_LT_1, alpha, n_edges),
+        log_zn=predict_log_zn(factorial_alpha_weights(alpha), n_edges),
     )

@@ -37,6 +37,8 @@ def _cmd_ztable(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     ws = _load_weights(args.weights)
     if args.table:
         table = load_ztable(args.table)

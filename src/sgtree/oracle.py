@@ -78,15 +78,17 @@ def exact_nu(n_edges: int, ws: WeightSequence) -> EnumeratedMeasure:
     exact = ws.is_exact
     entries: list[tuple[PlaneTree, Weight]] = []
     if exact:
+        ew = [ws.exact_weight(d + 1) for d in range(n_edges + 1)]  # ew[d] = w_{d+1}
         total: Weight = Fraction(0)
         for t in trees:
             w = Fraction(1)
             for d in t.word:
-                w *= ws.exact_weight(d + 1)
+                w *= ew[d]
             entries.append((t, w))
             total += w
     else:
-        logs = [math.fsum(ws.log_weight(d + 1) for d in t.word) for t in trees]
+        lw = ws.log_weights_upto(n_edges).tolist()
+        logs = [math.fsum(lw[d] for d in t.word) for t in trees]
         shift = max(logs)
         weights = [math.exp(v - shift) for v in logs]
         total = math.fsum(weights)

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .weights import LOG_ZERO, WeightSequence
+from .weights import LOG_ZERO, WeightSequence, _shift_index
 
 DEFAULT_N_MAX_CAP = 1500
 
@@ -34,10 +34,6 @@ _VERSION = 1
 
 class TableSizeError(ValueError):
     """Requested table exceeds the configured desk-scale budget."""
-
-
-class WeightDecayError(ValueError):
-    """Weight ratios never fall below the requested epsilon on the table range."""
 
 
 def _log_conv_row(prev: np.ndarray, log_terms: np.ndarray) -> np.ndarray:
@@ -141,20 +137,6 @@ class ZTable:
         out[lhs_zero & rhs_zero] = 0.0
         return out
 
-    def shift_index(self, eps: float) -> tuple[int, float]:
-        """(A_eps, log C_eps): least A with w_i/w_{i+1} < eps for all
-        checked i >= A, and the log of C_eps = sum_{i<=A} w_{i+1}."""
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        with np.errstate(invalid="ignore"):  # -inf - -inf where weights vanish
-            (big,) = np.nonzero(self.log_w[:-1] - self.log_w[1:] >= math.log(eps))
-        a_eps = int(big[-1]) + 2 if big.size else 1  # one past the last failing i = big[-1] + 1
-        if a_eps > self.n_max:
-            raise WeightDecayError(
-                f"no index below {self.n_max} with all later ratios w_i/w_(i+1) < {eps}"
-            )
-        return a_eps, float(np.logaddexp.reduce(self.log_w[: a_eps + 1]))
-
     def shift_inequality_holds(self, eps: float, bound: int) -> np.ndarray:
         """holds[N-1, n]: Z(N,n) <= eps Z(N,n+1) + C_eps^N, up to a relative
         slack of 1e-12, for N = 1..bound and n = 0..bound.
@@ -166,7 +148,7 @@ class ZTable:
             raise ValueError(f"need 0 <= bound < n_max = {self.n_max}, got {bound}")
         if bound == 0:
             return np.ones((0, 1), dtype=bool)
-        _, log_c = self.shift_index(eps)
+        _, log_c = _shift_index(self.log_w, eps)
         rows = self.log_table[1 : bound + 1]
         rhs = np.logaddexp(math.log(eps) + rows[:, 1 : bound + 2], np.arange(1, bound + 1)[:, None] * log_c)
         return rows[:, : bound + 1] <= rhs + 1e-12 * np.maximum(1.0, np.abs(rhs))

@@ -3,9 +3,10 @@
 A weight sequence assigns a nonnegative weight w_n to each vertex degree
 n >= 1.  The families of interest here grow superexponentially: the
 factorial powers w_n = ((n-1)!)^alpha and the variant with w_2 pinned to a
-parameter lam while every other weight stays at (n-1)!.  Values are huge
-(w_n ~ n!^alpha), so the canonical representation is log w_n; families with
-rational weights also expose an exact Fraction view for cross-validation.
+parameter lam while every other weight stays at (n-1)!; uniform weights are
+the power alpha = 0.  Values are huge (w_n ~ n!^alpha), so the canonical
+representation is log w_n; families with rational weights also expose an
+exact Fraction view for cross-validation.
 A weight of zero has the log LOG_ZERO = -inf, which IEEE addition keeps
 absorbing in products.
 """
@@ -26,7 +27,26 @@ LAMBDA_FACTORIAL = "lambda_factorial"
 FACTORIAL_ALPHA = "factorial_alpha"
 CUSTOM = "custom"
 
+_EXPONENTS = {UNIFORM: 0.0, LAMBDA_FACTORIAL: 1.0}  # factorial_alpha's exponent is its alpha
+
 _LOG_FACTORIALS = [0.0]
+
+
+class WeightDecayError(ValueError):
+    """Weight ratios never fall below the requested epsilon on the checked range."""
+
+
+def _shift_index(log_w: np.ndarray, eps: float) -> tuple[int, float]:
+    """WeightSequence.shift_index on log_w[d] = log w_{d+1}, d = 0..d_max."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    d_max = len(log_w) - 1
+    with np.errstate(invalid="ignore"):  # -inf - -inf where weights vanish
+        (big,) = np.nonzero(log_w[:-1] - log_w[1:] >= math.log(eps))
+    a_eps = int(big[-1]) + 2 if big.size else 1  # one past the last failing i = big[-1] + 1
+    if a_eps > d_max:
+        raise WeightDecayError(f"no index below {d_max} with all later ratios w_i/w_(i+1) < {eps}")
+    return a_eps, float(np.logaddexp.reduce(log_w[: a_eps + 1]))
 
 
 def log_factorial(n: int) -> float:
@@ -89,35 +109,34 @@ class WeightSequence:
     # -- evaluation ---------------------------------------------------------
 
     def log_weight(self, n: int) -> float:
-        """log w_n.  Degree 0 does not exist and is rejected."""
+        """log w_n, the last entry of log_weights_upto(n - 1).  Degree 0
+        does not exist and is rejected."""
         if n < 1:
             raise ValueError(f"degree must be >= 1, got {n}")
-        if self.family == UNIFORM:
-            return 0.0
-        if self.family == LAMBDA_FACTORIAL:
-            if n == 2:
-                return _log_fraction(self.lam)
-            return log_factorial(n - 1)
-        if self.family == FACTORIAL_ALPHA:
-            return self.alpha * log_factorial(n - 1)
-        if n <= len(self.table):
-            return _log_fraction(self.table[n - 1])
-        return LOG_ZERO  # finitely supported beyond the table end
+        return float(self.log_weights_upto(n - 1)[n - 1])
 
     def log_weights_upto(self, d_max: int) -> np.ndarray:
-        """Array lw with lw[d] = log w_{d+1} for d = 0..d_max.
+        """Array lw with lw[d] = log w_{d+1} for d = 0..d_max: the exponent
+        times the cached log(d!), with w_2 pinned to lam for lambda_factorial;
+        a custom table is read as given and is zero past its end."""
+        if self.family == CUSTOM:
+            known = [_log_fraction(w) for w in self.table[: d_max + 1]]
+            return np.array(known + [LOG_ZERO] * (d_max + 1 - len(known)))
+        log_factorial(d_max)  # extends the cache through d_max
+        lw = self._exponent * np.array(_LOG_FACTORIALS[: d_max + 1])
+        if d_max >= 1 and self.family == LAMBDA_FACTORIAL:
+            lw[1] = _log_fraction(self.lam)
+        return lw
 
-        Built from the same cumulative log-factorial cache as log_weight so
-        scalar and vector paths agree bitwise.
-        """
-        return np.array([self.log_weight(d + 1) for d in range(d_max + 1)])
+    @property
+    def _exponent(self) -> float:
+        """a in w_n = ((n-1)!)^a, w_2 aside for lambda_factorial."""
+        return _EXPONENTS.get(self.family, self.alpha)
 
     @property
     def is_exact(self) -> bool:
         """True when every weight is rational and exposable as a Fraction."""
-        if self.family == FACTORIAL_ALPHA:
-            return float(self.alpha).is_integer()
-        return True
+        return self.family == CUSTOM or float(self._exponent).is_integer()
 
     def exact_weight(self, n: int) -> Optional[Fraction]:
         """w_n as an exact Fraction, or None for irrational families."""
@@ -125,15 +144,17 @@ class WeightSequence:
             raise ValueError(f"degree must be >= 1, got {n}")
         if not self.is_exact:
             return None
-        if self.family == UNIFORM:
-            return Fraction(1)
-        if self.family == LAMBDA_FACTORIAL:
-            return self.lam if n == 2 else Fraction(math.factorial(n - 1))
-        if self.family == FACTORIAL_ALPHA:
-            return Fraction(math.factorial(n - 1)) ** int(self.alpha)
-        if n <= len(self.table):
-            return self.table[n - 1]
-        return Fraction(0)
+        if self.family == CUSTOM:
+            return self.table[n - 1] if n <= len(self.table) else Fraction(0)
+        if n == 2 and self.family == LAMBDA_FACTORIAL:
+            return self.lam
+        return Fraction(math.factorial(n - 1)) ** int(self._exponent)
+
+    def shift_index(self, eps: float, d_max: int) -> tuple[int, float]:
+        """(A_eps, log C_eps): least A with w_i/w_{i+1} < eps for every
+        i = A..d_max, and the log of C_eps = sum_{i<=A} w_{i+1}; a
+        WeightDecayError when no such A <= d_max exists."""
+        return _shift_index(self.log_weights_upto(d_max), eps)
 
     # -- configuration round trip ------------------------------------------
 

@@ -72,7 +72,6 @@ ZTABLE_ATTRIBUTES = [
     "n_max",
     "root_degree_pmf",
     "row_views",
-    "shift_index",
     "shift_inequality_holds",
     "sum_identity_residuals",
     "ws",
@@ -84,3 +83,25 @@ def test_ztable_surface_pinned():
     and identities read from them; exact values come from exact_corner."""
     table = sgtree.build_ztable(sgtree.uniform_weights(), 3)
     assert sorted(name for name in dir(table) if not name.startswith("_")) == ZTABLE_ATTRIBUTES
+
+
+WEIGHT_SEQUENCE_ATTRIBUTES = [
+    "alpha",
+    "exact_weight",
+    "family",
+    "from_config",
+    "is_exact",
+    "lam",
+    "log_weight",
+    "log_weights_upto",
+    "shift_index",
+    "table",
+    "to_config",
+]
+
+
+def test_weight_sequence_surface_pinned():
+    """Facts about a weight family (its values, exactness and shift index)
+    live on the weights; the growth exponent stays private."""
+    ws = sgtree.factorial_alpha_weights(0.5)
+    assert sorted(name for name in dir(ws) if not name.startswith("_")) == WEIGHT_SEQUENCE_ATTRIBUTES

@@ -6,12 +6,16 @@ import pytest
 from sgtree import (
     BoundaryHitError,
     center_first_order,
+    custom_weights,
     degree_count_scale,
+    factorial_alpha_weights,
+    lambda_factorial_weights,
     predict,
     predict_log_zn,
     profile_objective,
     profile_objective_gradient,
     solve_centers,
+    uniform_weights,
 )
 from sgtree.asymptotics import _profile, degree_cutoff, gaussian_indices, reciprocal_is_integer
 
@@ -129,6 +133,14 @@ def test_predict_newton_stall_raises_boundary_hit():
     assert "increase n_edges" in str(info.value) and "eta" not in str(info.value)
 
 
+def test_boundary_hit_message_is_one_line():
+    """A box of six or nine coordinates still prints on one line."""
+    for alpha, n in ((0.15, 300), (0.1, 200)):
+        with pytest.raises(BoundaryHitError) as info:
+            solve_centers(alpha, n)
+        assert "\n" not in str(info.value) and "box [[" in str(info.value)
+
+
 def test_center_ratio_approaches_one():
     """|m_hat_1/scale_1 - 1| shrinks along N = 1e2, 1e3, 1e4 at alpha 0.5."""
     gaps = []
@@ -151,18 +163,15 @@ def test_center_agrees_with_first_order_at_stated_order():
 
 
 def test_predict_log_zn():
-    assert predict_log_zn("lambda_factorial", 1.0, 50) == pytest.approx(
-        math.lgamma(50) + 1.0, rel=1e-14
-    )
+    """The regime is read off the weights; weights outside the three
+    regimes have no expansion."""
+    assert predict_log_zn(lambda_factorial_weights(1), 50) == pytest.approx(math.lgamma(50) + 1.0, rel=1e-14)
     expected = 0.6 * math.lgamma(1000) + 1000**0.4 + (2**0.6 - 0.2) * 1000**-0.2
-    assert predict_log_zn("alpha_lt_1", 0.6, 1000) == pytest.approx(expected, rel=1e-14)
-    assert predict_log_zn("alpha_gt_1", 2.0, 400) == pytest.approx(
-        2 * math.lgamma(400), rel=1e-14
-    )
-    with pytest.raises(ValueError):
-        predict_log_zn("nope", 1.0, 10)
-    with pytest.raises(ValueError):
-        predict_log_zn("alpha_lt_1", 1.2, 10)
+    assert predict_log_zn(factorial_alpha_weights(0.6), 1000) == pytest.approx(expected, rel=1e-14)
+    assert predict_log_zn(factorial_alpha_weights(2.0), 400) == pytest.approx(2 * math.lgamma(400), rel=1e-14)
+    for ws in (uniform_weights(), custom_weights(["1", "0", "1"]), factorial_alpha_weights(1)):
+        with pytest.raises(ValueError, match="no log Z_N expansion"):
+            predict_log_zn(ws, 10)
 
 
 def test_reference_laws_shapes():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from sgtree import AsymptoticPrediction, predict_log_zn
+from sgtree import AsymptoticPrediction, factorial_alpha_weights, predict_log_zn
 from sgtree.cli import build_parser, main
 
 CLI_OPTIONS = [
@@ -130,6 +130,15 @@ def test_sample_stats_only(tmp_path, capsys):
     assert len(out) == 11
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize("mode", [[], ["--stats-only"]])
+def test_sample_count_below_one_is_an_error(capsys, count, mode):
+    """No trees to draw is bad input, not an empty success, in both modes."""
+    assert main(["sample", "--weights", '{"family": "uniform"}', "--n", "8", "--count", count] + mode) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"sgtree: error: --count must be >= 1, got {count}\n"
+
+
 def test_sample_words_pinned(capsys):
     """Same seed, same trees: pins the words `sgtree sample` prints."""
     weights = '{"family":"factorial_alpha","alpha":0.5}'
@@ -174,7 +183,7 @@ def test_predict_command(capsys):
     assert payload["scales"][0] == pytest.approx(20.0)
     assert payload["poisson_mean"] == pytest.approx(2**0.5)
     assert list(payload) == [f.name for f in dataclasses.fields(AsymptoticPrediction)]
-    assert payload["log_zn"] == predict_log_zn("alpha_lt_1", 0.5, 400)
+    assert payload["log_zn"] == predict_log_zn(factorial_alpha_weights(0.5), 400)
 
 
 def test_oracle_check_command(capsys):

@@ -4,7 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from sgtree import ExperimentSpec, build_ztable, lambda_factorial_weights, run_experiment, uniform_weights
+from sgtree import (
+    BoundaryHitError,
+    ExperimentSpec,
+    WeightDecayError,
+    build_ztable,
+    lambda_factorial_weights,
+    run_experiment,
+    uniform_weights,
+)
 from sgtree import harness, partition
 from sgtree.harness import (
     DEGREE_BOUNDS,
@@ -21,31 +29,35 @@ from sgtree.harness import (
 from sgtree.sampler import RandomSource
 
 
+LAM1 = {"family": "lambda_factorial", "lam": "1"}  # identities-ready: A_0.1 = 11 <= 20
+
+
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        ExperimentSpec("nope", {"family": "uniform"}, (10,))
-    with pytest.raises(ValueError):
-        ExperimentSpec(IDENTITIES, {"family": "uniform"}, ())
-    with pytest.raises(ValueError):
-        ExperimentSpec(IDENTITIES, {"family": "uniform"}, (10,), samples=0)
-    with pytest.raises(ValueError):
-        ExperimentSpec(IDENTITIES, {"family": "uniform"}, (10,), tolerances={"x": -1})
+    with pytest.raises(ValueError, match="unknown experiment"):
+        ExperimentSpec("nope", LAM1, (20,))
+    with pytest.raises(ValueError, match="positive sizes"):
+        ExperimentSpec(IDENTITIES, LAM1, ())
+    with pytest.raises(ValueError, match="samples"):
+        ExperimentSpec(IDENTITIES, LAM1, (20,), samples=0)
+    with pytest.raises(ValueError, match="tolerances must map names to positive numbers"):
+        ExperimentSpec(IDENTITIES, LAM1, (20,), tolerances={"x": -1})
     with pytest.raises(ValueError, match="positive"):
-        ExperimentSpec(IDENTITIES, {"family": "uniform"}, (10,), tolerances={"max_sum_residual": -1})
-    with pytest.raises(ValueError):
-        ExperimentSpec(IDENTITIES, {"family": "wat"}, (10,))
+        ExperimentSpec(IDENTITIES, LAM1, (20,), tolerances={"max_sum_residual": -1})
+    with pytest.raises(ValueError, match="unknown weight family"):
+        ExperimentSpec(IDENTITIES, {"family": "wat"}, (20,))
     with pytest.raises(ValueError, match="exact_upto"):
-        ExperimentSpec(IDENTITIES, {"family": "uniform"}, (10,), exact_upto=-1)
+        ExperimentSpec(IDENTITIES, LAM1, (20,), exact_upto=-1)
     with pytest.raises(ValueError, match="rational"):
         ExperimentSpec(IDENTITIES, {"family": "factorial_alpha", "alpha": 0.5}, (10,), exact_upto=5)
     with pytest.raises(ValueError, match="radius"):
         ExperimentSpec(STAR_CONVERGENCE, {"family": "factorial_alpha", "alpha": 0.5}, (10,), radius=0)
     with pytest.raises(ValueError, match="eps"):
-        ExperimentSpec(IDENTITIES, {"family": "uniform"}, (10,), eps_list=(0.5, 0.0))
+        ExperimentSpec(IDENTITIES, LAM1, (20,), eps_list=(0.5, 0.0))
     with pytest.raises(ValueError, match="eps_list"):
-        ExperimentSpec(IDENTITIES, {"family": "uniform"}, (10,), eps_list=())
+        ExperimentSpec(IDENTITIES, LAM1, (20,), eps_list=())
+    ExperimentSpec(IDENTITIES, LAM1, (20,))  # the base every case above breaks is valid
     # each field takes its own JSON type only: no float for an int, no string or bool for a number
-    uniform = {"experiment": IDENTITIES, "weights": {"family": "uniform"}, "n_list": [10]}
+    identities = {"experiment": IDENTITIES, "weights": LAM1, "n_list": [20]}
     for key, value in [
         ("n_list", [12.7]),
         ("n_list", ["12"]),
@@ -64,14 +76,14 @@ def test_spec_validation():
         ("allow_large", "false"),
     ]:
         with pytest.raises(ValueError, match=key):
-            ExperimentSpec.from_dict(dict(uniform, **{key: value}))
+            ExperimentSpec.from_dict(dict(identities, **{key: value}))
     # radius is read by star_convergence only, eps_list and exact_upto by identities only
     star = {"experiment": STAR_DOMINANCE, "weights": {"family": "factorial_alpha", "alpha": 1.5}, "n_list": [10]}
     for key, value in [("radius", 5), ("eps_list", [0.2]), ("exact_upto", 5)]:
         with pytest.raises(ValueError, match=f"star_dominance does not read {key}"):
             ExperimentSpec.from_dict(dict(star, **{key: value}))
     with pytest.raises(ValueError, match="identities does not read radius"):
-        ExperimentSpec.from_dict(dict(uniform, radius=5))
+        ExperimentSpec.from_dict(dict(identities, radius=5))
     with pytest.raises(ValueError, match="star_convergence does not read eps_list"):
         ExperimentSpec.from_dict(dict(star, experiment=STAR_CONVERGENCE, eps_list=[0.5]))
     # the defaults, as every echoed spec carries them, are accepted anywhere
@@ -86,7 +98,7 @@ def test_spec_validation():
         (DEGREE_BOUNDS, {"family": "factorial_alpha", "alpha": 0.5}),
         (GAUSSIAN_FLUCTUATIONS, {"family": "factorial_alpha", "alpha": 0.5}),
         (STAR_DOMINANCE, {"family": "factorial_alpha", "alpha": 1.5}),
-        (IDENTITIES, {"family": "uniform"}),
+        (IDENTITIES, LAM1),
     ]:
         with pytest.raises(ValueError, match=experiment):  # only the largest size would run
             ExperimentSpec(experiment, weights, (10, 20))
@@ -106,13 +118,27 @@ def test_spec_json_round_trip():
 
 
 def test_runner_mismatched_family_rejected(monkeypatch):
-    spec = ExperimentSpec(POISSON_SURPLUS, {"family": "uniform"}, (20,))
-    with pytest.raises(ValueError):
-        run_experiment(spec)
-    # uniform ratios never fall below eps, so identities has no shift index: rejected before the build
+    """A spec that constructs can run: weights the experiment cannot use
+    fail at construction, before any table is built."""
     monkeypatch.setattr(harness, "build_ztable", lambda *args, **kwargs: pytest.fail("table built"))
-    with pytest.raises(ValueError, match="identities runs on any weight family but uniform"):
-        run_experiment(ExperimentSpec(IDENTITIES, {"family": "uniform"}, (20,)))
+    with pytest.raises(ValueError, match="poisson_surplus runs on the lambda_factorial family"):
+        ExperimentSpec(POISSON_SURPLUS, {"family": "uniform"}, (20,))
+    # uniform ratios never fall below eps, so there is no shift index A_eps
+    with pytest.raises(WeightDecayError, match="no index below 20"):
+        ExperimentSpec(IDENTITIES, {"family": "uniform"}, (20,))
+    # alpha = 0.4 has A_0.1 = 317 (the least A with A^-0.4 < 0.1), past N = 300
+    with pytest.raises(WeightDecayError, match="no index below 300 .* < 0.1"):
+        ExperimentSpec(IDENTITIES, {"family": "factorial_alpha", "alpha": 0.4}, (300,))
+    ExperimentSpec(IDENTITIES, {"family": "factorial_alpha", "alpha": 0.4}, (317,), eps_list=(0.1,))
+    # the centers do not solve at alpha = 0.15, N = 700
+    with pytest.raises(BoundaryHitError, match="increase n_edges"):
+        ExperimentSpec(GAUSSIAN_FLUCTUATIONS, {"family": "factorial_alpha", "alpha": 0.15}, (700,))
+
+
+def test_identities_at_one_edge_runs():
+    """At N = 1 the sweep checks no shift inequality, so no A_eps is asked for."""
+    report = run_experiment(ExperimentSpec(IDENTITIES, {"family": "factorial_alpha", "alpha": 0.5}, (1,)))
+    assert report.passed and report.stats["shift_inequality_checked"] == 0
 
 
 def test_shared_table_must_match():
@@ -144,7 +170,7 @@ def test_unknown_tolerance_name_rejected():
 
 
 def test_unknown_spec_key_rejected():
-    d = {"experiment": IDENTITIES, "weights": {"family": "uniform"}, "n_list": [10], "truncate": True}
+    d = {"experiment": IDENTITIES, "weights": LAM1, "n_list": [20], "truncate": True}
     with pytest.raises(ValueError, match="truncate"):
         ExperimentSpec.from_dict(d)
     del d["truncate"]

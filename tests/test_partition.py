@@ -135,8 +135,9 @@ def test_sum_identity_sweep(table_alpha05_small):
 
 
 def test_shift_inequality():
-    table = build_ztable(factorial_alpha_weights(0.5), 60)
-    assert table.shift_index(0.5)[0] == 5  # least A with A^(-1/2) < 1/2
+    ws = factorial_alpha_weights(0.5)
+    table = build_ztable(ws, 60)
+    assert ws.shift_index(0.5, 60)[0] == 5  # least A with A^(-1/2) < 1/2
     holds = table.shift_inequality_holds(0.5, 50)
     assert holds.shape == (50, 51) and holds.all()
     with pytest.raises(ValueError, match="bound"):
