@@ -9,8 +9,14 @@ Everything about the tree measure reduces to this table:
 The table is built row by row in the log domain; each row is a log-domain
 convolution of the previous row with the weight sequence, evaluated with a
 per-entry max shift so that entries thousands of log-units apart stay
-accurate.  For families with rational weights, exact_corner computes a
-corner of the same table in Fractions.
+accurate.  The convolution runs in blocks of output entries that skip the
+structural zeros (the d > n padding and weights past a custom table's
+end), and keeps np.exp on its fast path: shifted values below -707.5 are
+taken out of the main call, those below -746 are the exact 0 np.exp gives
+there, and the rest are exponentiated on their own.  Row sums keep the full
+width, so numpy's pairwise summation groups the same terms and the table is
+bit for bit the per-entry log-sum-exp.  For families with rational weights,
+exact_corner computes a corner of the same table in Fractions.
 """
 
 from __future__ import annotations
@@ -36,27 +42,66 @@ class TableSizeError(ValueError):
     """Requested table exceeds the configured desk-scale budget."""
 
 
+_ROW_BLOCK = 64  # output entries per block of the row convolution
+_EXP_FAST = -707.5  # np.exp is on its fast path at and above this input
+_EXP_ZERO = -746.0  # and returns exactly 0 below this one
+
+
 def _log_conv_row(prev: np.ndarray, log_terms: np.ndarray) -> np.ndarray:
     """out[n] = logsumexp_d (log_terms[d] + prev[n-d]), d = 0..n.
 
-    prev and log_terms have equal length W; the result has length W.  The
-    shifted-window matrix T[n, d] = prev[n-d] is a zero-copy view; the
-    max shift is taken per output entry.
+    prev and log_terms have equal length W; the result has length W.  Each
+    entry is shifted by its own max and summed over the full window, so the
+    result is bit for bit the per-entry log-sum-exp; only work whose result
+    is a known 0 is skipped:
+
+    - entries are computed in blocks of _ROW_BLOCK rows [a, b), which read
+      only columns d < b (the rest of their rows is the d > n padding) and
+      no column past the last finite log term (a custom table's end);
+    - shifted values below _EXP_FAST (-707.5), where np.exp leaves its fast
+      path (a subnormal result costs ~100x), stay out of the block's one exp
+      call: below _EXP_ZERO (-746) they are set to the 0 np.exp returns
+      there, and the rest get np.exp on their compacted values, which is
+      elementwise and so gives the same bits.
+
+    Each row's sum still runs over the full width W, with zeros past the
+    block: numpy's pairwise summation groups the terms by the length summed,
+    so a shorter sum would round differently.
     """
     w = prev.shape[0]
-    pad = np.full(2 * w - 1, -np.inf)
-    pad[w - 1 :] = prev
-    t = sliding_window_view(pad[::-1], w)[::-1]  # t[n, d] = prev[n-d]
-    m = t + log_terms[None, :]
-    mx = m.max(axis=1)
-    finite = mx > -np.inf
-    shift = np.where(finite, mx, 0.0)
-    np.subtract(m, shift[:, None], out=m)
-    np.exp(m, out=m)
-    s = m.sum(axis=1)
-    out = np.full(w, -np.inf)
-    np.log(s, out=s, where=s > 0)
-    out[finite] = mx[finite] + s[finite]
+    finite_terms = np.flatnonzero(log_terms > -np.inf)
+    hi = int(finite_terms[-1]) + 1 if finite_terms.size else 1  # columns d >= hi add 0
+    rev = np.full(2 * w - 1, -np.inf)
+    rev[:w] = prev[::-1]
+    t = sliding_window_view(rev, w)[::-1]  # t[n, d] = prev[n-d], unit stride along d
+    rows = min(_ROW_BLOCK, w)
+    below_diag = np.tri(rows, dtype=bool)  # [i, j]: column a+j is inside row a+i
+    shifted = np.empty(rows * min(w, hi))
+    terms = np.zeros((rows, w))
+    out = np.empty(w)
+    for a in range(0, w, rows):
+        b = min(a + rows, w)
+        c = min(b, hi)
+        m = shifted[: (b - a) * c].reshape(b - a, c)
+        np.add(t[a:b, :c], log_terms[:c], out=m)
+        mx = m.max(axis=1)
+        np.subtract(m, np.where(mx > -np.inf, mx, 0.0)[:, None], out=m)
+        slow = m < _EXP_FAST
+        if c > a:
+            slow[:, a:] &= below_diag[: b - a, : c - a]  # the d > n padding stays -inf: exp gives 0
+        idx = np.flatnonzero(slow)
+        if idx.size:
+            vals = m.ravel()[idx]
+            m.ravel()[idx] = _EXP_FAST
+        np.exp(m, out=terms[: b - a, :c])
+        if idx.size:
+            fix = np.zeros(idx.size)
+            live = vals >= _EXP_ZERO
+            fix[live] = np.exp(vals[live])
+            terms.ravel()[idx + idx // c * (w - c)] = fix
+        s = terms[: b - a].sum(axis=1)
+        np.log(s, out=s, where=s > 0)
+        out[a:b] = mx + s  # a row with no finite term has mx = -inf and s = 0
     return out
 
 
@@ -215,7 +260,7 @@ def save_ztable(table: ZTable, path: str) -> None:
         fh.write(struct.pack("<B", _VERSION))
         fh.write(struct.pack("<I", len(descriptor)))
         fh.write(descriptor)
-        fh.write(table.log_table.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(table.log_table, dtype="<f8").data)  # no copy of a built table
 
 
 def load_ztable(path: str) -> ZTable:
@@ -266,7 +311,5 @@ def write_ztable_csv(table: ZTable, path: str) -> None:
     """N,n,logZ triples for external tooling."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("N,n,logZ\n")
-        for n_vertices in range(table.n_max + 1):
-            row = table.log_table[n_vertices]
-            for n in range(table.n_max + 1):
-                fh.write(f"{n_vertices},{n},{row[n]!r}\n")
+        for n_vertices, row in enumerate(table.log_table):
+            fh.write("".join(f"{n_vertices},{n},{x!r}\n" for n, x in enumerate(row.tolist())))

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from sgtree import (
     TableSizeError,
@@ -17,7 +20,7 @@ from sgtree import (
     save_ztable,
     uniform_weights,
 )
-from sgtree.partition import exact_corner, worst_exact_sum_residual
+from sgtree.partition import _EXP_FAST, _EXP_ZERO, _ROW_BLOCK, _log_conv_row, exact_corner, worst_exact_sum_residual
 
 
 def test_boundary_rows(table_uniform_small):
@@ -274,3 +277,100 @@ def test_csv_dump(tmp_path):
     lines = open(path).read().strip().splitlines()
     assert lines[0] == "N,n,logZ"
     assert len(lines) == 1 + 16
+    parsed = np.full_like(table.log_table, np.nan)
+    for line in lines[1:]:
+        n_vertices, n, log_z = line.split(",")
+        parsed[int(n_vertices), int(n)] = float(log_z)
+    assert parsed.tobytes() == table.log_table.tobytes()
+    assert "0,1,-inf" in lines
+
+
+def test_save_bytes_pinned(tmp_path):
+    """Header, descriptor and little-endian payload of a small table's SGTZ file."""
+    path = tmp_path / "t.sgtz"
+    save_ztable(build_ztable(factorial_alpha_weights(0.5), 8), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == "3e8767e2e3ba7d94b9c18356c6cd51fcab984af992243bf631fdf00fea7369e0"
+
+
+def test_save_does_not_copy_the_table(tmp_path):
+    table = build_ztable(factorial_alpha_weights(0.5), 200)
+    tracemalloc.start()
+    try:
+        save_ztable(table, str(tmp_path / "t.sgtz"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.log_table.nbytes / 4
+
+
+# -- the row kernel ------------------------------------------------------------------
+
+
+def _reference_log_conv_row(prev, log_terms):
+    """The per-entry log-sum-exp over the full window, one exp per entry:
+    the row kernel before it was blocked, kept as the bitwise reference."""
+    w = prev.shape[0]
+    pad = np.full(2 * w - 1, -np.inf)
+    pad[w - 1 :] = prev
+    t = sliding_window_view(pad[::-1], w)[::-1]  # t[n, d] = prev[n-d]
+    m = t + log_terms[None, :]
+    mx = m.max(axis=1)
+    finite = mx > -np.inf
+    shift = np.where(finite, mx, 0.0)
+    np.subtract(m, shift[:, None], out=m)
+    np.exp(m, out=m)
+    s = m.sum(axis=1)
+    out = np.full(w, -np.inf)
+    np.log(s, out=s, where=s > 0)
+    out[finite] = mx[finite] + s[finite]
+    return out
+
+
+def _exp_band_counts(prev, log_terms):
+    """Finite shifted values of the full window below _EXP_ZERO, and in
+    [_EXP_ZERO, _EXP_FAST): the two bands the kernel keeps out of its main
+    exp call."""
+    w = prev.shape[0]
+    pad = np.concatenate([np.full(w - 1, -np.inf), prev])
+    m = sliding_window_view(pad[::-1], w)[::-1] + log_terms
+    mx = m.max(axis=1)
+    m -= np.where(mx > -np.inf, mx, 0.0)[:, None]
+    zero = np.count_nonzero((m < _EXP_ZERO) & (m > -np.inf))
+    return int(zero), int(np.count_nonzero((m >= _EXP_ZERO) & (m < _EXP_FAST)))
+
+
+_KERNEL_WEIGHTS = (
+    uniform_weights(),
+    factorial_alpha_weights(1.5),
+    lambda_factorial_weights(2),
+    custom_weights([1, 0, 2, 0, 5, 1, 0, 3]),
+    factorial_alpha_weights(50.5),  # the one whose rows reach both exp bands below n_max = 300
+)
+
+
+def test_row_kernel_bitwise_equals_per_entry_reference():
+    """Rows of real tables (row 0 included) at widths around the block size,
+    against the weights and against the identity terms log l + log w, whose
+    entry 0 is -inf.  The cases must reach both bands the kernel keeps out of
+    its main exp call."""
+    zero_band = subnormal_band = 0
+    log_l = np.log(np.arange(300.0), where=np.arange(300) > 0, out=np.full(300, -np.inf))
+    for ws in _KERNEL_WEIGHTS:
+        table = build_ztable(ws, 299)
+        for w in (1, 2, _ROW_BLOCK, _ROW_BLOCK + 1, 300):
+            for prev_row in sorted(set(range(0, w, 1 if w <= _ROW_BLOCK + 1 else 11)) | {w - 1}):
+                prev = table.log_table[prev_row, :w]
+                for terms in (table.log_w[:w], log_l[:w] + table.log_w[:w]):
+                    got = _log_conv_row(prev, terms)
+                    assert got.tobytes() == _reference_log_conv_row(prev, terms).tobytes(), (ws, w, prev_row)
+                    zero, subnormal = _exp_band_counts(prev, terms)
+                    zero_band, subnormal_band = zero_band + zero, subnormal_band + subnormal
+    assert zero_band > 1000 and subnormal_band > 1000
+
+
+def test_exp_is_exactly_zero_below_the_zero_band():
+    """The row kernel writes 0 for shifted values below _EXP_ZERO without
+    calling np.exp; that is what np.exp returns there (+0.0, not -0.0)."""
+    below = np.nextafter(_EXP_ZERO, -np.inf)
+    grid = np.concatenate([np.linspace(below, -800.0, 20001), -np.logspace(np.log10(800.0), 300.0, 1001), [-np.inf]])
+    assert np.exp(grid).tobytes() == np.zeros_like(grid).tobytes()
