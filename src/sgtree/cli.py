@@ -166,13 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one subcommand; bad input (a spec, weights, a table file, or a
-    size the solver or the table cannot take) is one line on stderr and
-    exit code 2."""
+    """Run one subcommand; bad input (a spec, weights, a table file, a size
+    the solver or the table cannot take, or a file that cannot be read or
+    written) is one line on stderr and exit code 2, so that exit code 1
+    keeps meaning a failed check."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, asymptotics.BoundaryHitError) as exc:
+    except (ValueError, OSError, asymptotics.BoundaryHitError) as exc:
         print(f"sgtree: error: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2
 

@@ -15,8 +15,10 @@ end), and keeps np.exp on its fast path: shifted values below -707.5 are
 taken out of the main call, those below -746 are the exact 0 np.exp gives
 there, and the rest are exponentiated on their own.  Row sums keep the full
 width, so numpy's pairwise summation groups the same terms and the table is
-bit for bit the per-entry log-sum-exp.  For families with rational weights,
-exact_corner computes a corner of the same table in Fractions.
+bit for bit the per-entry log-sum-exp.  log_row computes one row without
+the table, by the power-of-series recurrence, in O(N^2) time and O(N)
+memory.  For families with rational weights, exact_corner computes a corner
+of the same table in Fractions.
 """
 
 from __future__ import annotations
@@ -197,6 +199,48 @@ class ZTable:
         rows = self.log_table[1 : bound + 1]
         rhs = np.logaddexp(math.log(eps) + rows[:, 1 : bound + 2], np.arange(1, bound + 1)[:, None] * log_c)
         return rows[:, : bound + 1] <= rhs + 1e-12 * np.maximum(1.0, np.abs(rhs))
+
+
+def log_row(log_w: np.ndarray, n_vertices: int, upto: int) -> np.ndarray:
+    """log Z(N, n) for n = 0..upto, N = n_vertices, without the table.
+
+    Row N holds the coefficients of W(x)^N, W(x) = sum_d w_{d+1} x^d, and
+    P'W = N W'P gives J.C.P. Miller's recurrence for a power of a series
+    (Knuth, TAOCP Vol. 2, 4.7):
+
+        n w_1 Z(N, n) = sum_{k=1..n} ((N+1)k - n) w_{k+1} Z(N, n-k).
+
+    Each entry is one log-sum-exp: O(N upto) time and O(upto) memory, and
+    only w_1 > 0 is needed.  For n <= N+1 no coefficient is negative (a zero
+    one drops its term); past N+1 they are, so upto > N+1 is a ValueError,
+    as is upto past the end of log_w (log_w[d] = log w_{d+1}).
+    """
+    if n_vertices < 0:
+        raise ValueError(f"n_vertices must be >= 0, got {n_vertices}")
+    if not 0 <= upto <= n_vertices + 1:
+        raise ValueError(f"need 0 <= upto <= N+1 = {n_vertices + 1}, got {upto}: coefficients go negative past N+1")
+    if upto >= len(log_w):
+        raise ValueError(f"upto={upto} needs log_w[0..{upto}]; got {len(log_w)} entries")
+    if log_w[0] == LOG_ZERO:
+        raise ValueError("the row recurrence needs w_1 > 0")
+    out = np.empty(upto + 1)
+    out[0] = n_vertices * log_w[0]
+    ks = np.arange(1, upto + 1)
+    t = np.empty(upto)
+    with np.errstate(divide="ignore"):
+        for n in range(1, upto + 1):
+            tn = t[:n]
+            np.log((n_vertices + 1) * ks[:n] - n, out=tn)
+            tn += log_w[1 : n + 1]
+            tn += out[n - 1 :: -1]  # Z(N, n-k) for k = 1..n
+            mx = tn.max()
+            if mx == LOG_ZERO:
+                out[n] = LOG_ZERO
+                continue
+            tn -= mx
+            np.exp(tn, out=tn)
+            out[n] = mx + math.log(tn.sum()) - math.log(n) - log_w[0]
+    return out
 
 
 def exact_corner(ws: WeightSequence, m: int) -> list[list[Fraction]]:

@@ -99,14 +99,34 @@ def test_ztable_build_and_sample_round_trip(tmp_path, capsys):
         assert err.startswith("sgtree: error: table ") and err.count("\n") == 1
 
 
-def test_sample_missing_table_fails(tmp_path):
+def test_sample_missing_table_fails(tmp_path, capsys):
     """A --table path that does not exist is an error, not a rebuild."""
     out = tmp_path / "trees.txt"
     args = ["sample", "--weights", '{"family": "uniform"}', "--n", "8", "--table", str(tmp_path / "missing.sgtz")]
-    with pytest.raises(FileNotFoundError):
-        main(args + ["--out", str(out)])
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sgtree: error: ") and "missing.sgtz" in err and err.count("\n") == 1
     assert not out.exists()
     assert not (tmp_path / "missing.sgtz").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "--spec", "{d}/missing.json"],
+        ["distance", "{d}/missing_a.txt", "{d}/missing_b.txt"],
+        ["ztable", "--weights", '{{"family": "uniform"}}', "--nmax", "5", "--out", "{d}/no_dir/u.sgtz"],
+        ["ztable", "--weights", '{{"family": "uniform"}}', "--nmax", "5", "--out", "{d}/u.sgtz",
+         "--dump-csv", "{d}/no_dir/u.csv"],
+    ],
+    ids=["experiment-spec", "distance", "ztable-out", "ztable-dump-csv"],
+)
+def test_file_errors_are_one_line(tmp_path, capsys, argv):
+    """A file that cannot be read or written is exit code 2, not 1, which
+    means a failed check."""
+    assert main([a.format(d=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sgtree: error: [Errno 2] ") and err.count("\n") == 1
 
 
 def test_sample_stats_only(tmp_path, capsys):

@@ -9,6 +9,7 @@ from sgtree import (
     ExperimentSpec,
     WeightDecayError,
     build_ztable,
+    factorial_alpha_weights,
     lambda_factorial_weights,
     run_experiment,
     uniform_weights,
@@ -297,6 +298,32 @@ def test_logz_expansion_runner():
     assert json.loads(report.to_json())["stats"] == report.stats  # plain JSON types only
     assert report.passed
     assert list(report.stats["residuals"]) == ["50", "100", "200"]
+
+
+def test_logz_expansion_builds_no_table(monkeypatch):
+    """log Z_N comes from one row per size, with no table and no table cap."""
+    monkeypatch.setattr(harness, "build_ztable", lambda *args, **kwargs: pytest.fail("table built"))
+    spec = ExperimentSpec(LOGZ_EXPANSION, {"family": "factorial_alpha", "alpha": 0.6}, (50, 100), seed=15)
+    assert run_experiment(spec).passed
+
+
+def test_logz_expansion_rejects_a_shared_table():
+    table = build_ztable(factorial_alpha_weights(0.6), 100)
+    spec = ExperimentSpec(LOGZ_EXPANSION, {"family": "factorial_alpha", "alpha": 0.6}, (50, 100))
+    with pytest.raises(ValueError, match="logz_expansion .* no shared table"):
+        run_experiment(spec, table=table)
+
+
+def test_logz_expansion_past_the_table_cap():
+    """alpha = 0.5 past the table cap without allow_large: the residual
+    against predict_log_zn over N^(1-3 alpha) is 2.27 at N = 1000 and 2.14
+    at N = 3000."""
+    spec = ExperimentSpec(LOGZ_EXPANSION, {"family": "factorial_alpha", "alpha": 0.5}, (1000, 3000))
+    report = run_experiment(spec)
+    assert report.passed
+    scaled = report.stats["residuals_scaled"]
+    assert scaled["1000"] == pytest.approx(2.27, abs=0.01)
+    assert scaled["3000"] == pytest.approx(2.14, abs=0.01)
 
 
 def test_star_dominance_runner():

@@ -14,13 +14,22 @@ from sgtree import (
     WeightDecayError,
     build_ztable,
     custom_weights,
+    exact_nu,
     factorial_alpha_weights,
     lambda_factorial_weights,
     load_ztable,
     save_ztable,
     uniform_weights,
 )
-from sgtree.partition import _EXP_FAST, _EXP_ZERO, _ROW_BLOCK, _log_conv_row, exact_corner, worst_exact_sum_residual
+from sgtree.partition import (
+    _EXP_FAST,
+    _EXP_ZERO,
+    _ROW_BLOCK,
+    _log_conv_row,
+    exact_corner,
+    log_row,
+    worst_exact_sum_residual,
+)
 
 
 def test_boundary_rows(table_uniform_small):
@@ -74,6 +83,76 @@ def test_recurrence_consistency():
         mx = terms.max()
         recomputed = mx + math.log(np.exp(terms - mx).sum())
         assert recomputed == pytest.approx(t.log_table[n_vertices, n], rel=1e-12)
+
+
+def _close(got: np.ndarray, ref: np.ndarray, tol: float = 1e-12) -> bool:
+    """Equal -inf entries, and finite ones within tol * max(1, |ref|)."""
+    zero = ref == -np.inf
+    if not np.array_equal(got == -np.inf, zero):
+        return False
+    return bool(np.all(np.abs(got[~zero] - ref[~zero]) <= tol * np.maximum(1.0, np.abs(ref[~zero]))))
+
+
+def test_log_row_matches_exact_fractions():
+    """Rational family: every entry n <= min(N+1, 12) of rows N <= 12
+    against the log of exact_corner's Fractions."""
+    ws = lambda_factorial_weights(2)
+    z = exact_corner(ws, 12)
+    log_w = ws.log_weights_upto(12)
+    for n_vertices in range(1, 13):
+        upto = min(n_vertices + 1, 12)
+        ref = np.array([math.log(x.numerator) - math.log(x.denominator) for x in z[n_vertices][: upto + 1]])
+        assert _close(log_row(log_w, n_vertices, upto), ref)
+
+
+def test_log_row_matches_enumeration_irrational():
+    """Irrational family: log Z_N = log Z(N, N-1) - log N against the sum
+    over every tree with N edges."""
+    ws = factorial_alpha_weights(0.37)
+    log_w = ws.log_weights_upto(12)
+    for n_edges in range(1, 13):
+        got = log_row(log_w, n_edges, n_edges - 1)[-1] - math.log(n_edges)
+        assert got == pytest.approx(exact_nu(n_edges, ws).log_total, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "ws",
+    [
+        uniform_weights(),
+        lambda_factorial_weights(1),
+        lambda_factorial_weights(2),
+        factorial_alpha_weights(0.3),
+        factorial_alpha_weights(0.6),
+        factorial_alpha_weights(1.5),
+        custom_weights([1, 0, 2, 0, 5, 1, 0, 3]),
+    ],
+    ids=lambda ws: str(ws.to_config()),
+)
+def test_log_row_matches_table_rows(ws):
+    """Rows of the n_max = 400 table, n <= min(N+1, n_max); the custom
+    family's zero entries are -inf in both."""
+    t = build_ztable(ws, 400)
+    for n_vertices in (1, 2, 3, 64, 200, 399, 400):
+        upto = min(n_vertices + 1, 400)
+        assert _close(log_row(t.log_w, n_vertices, upto), t.log_table[n_vertices, : upto + 1])
+
+
+def test_log_row_one_vertex_is_the_weights():
+    ws = custom_weights([1, 0, 2])
+    row = log_row(ws.log_weights_upto(2), 1, 2)
+    assert row[0] == 0.0 and row[1] == -math.inf
+    assert row[2] == pytest.approx(math.log(2), rel=1e-15)
+
+
+def test_log_row_rejects_what_it_cannot_compute():
+    log_w = factorial_alpha_weights(0.5).log_weights_upto(20)
+    with pytest.raises(ValueError, match="N\\+1 = 6"):
+        log_row(log_w, 5, 7)  # coefficients ((N+1)k - n) go negative past N+1
+    with pytest.raises(ValueError, match="log_w"):
+        log_row(log_w[:10], 20, 15)
+    log_row(log_w, 5, 6)  # N+1 itself is fine
+    with pytest.raises(ValueError, match="w_1 > 0"):
+        log_row(np.array([-np.inf, 0.0, 0.0]), 2, 2)
 
 
 def _compositions(n_slots, total):
