@@ -33,6 +33,7 @@ from .partition import (
     ZTable,
     build_ztable,
     load_ztable,
+    log_z_n,
     save_ztable,
 )
 from .sampler import (

@@ -46,8 +46,8 @@ def reciprocal_is_integer(alpha: float) -> bool:
 
 def degree_cutoff(alpha: float) -> int:
     """K = floor(1/alpha): the largest observable small-degree index."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be a finite number > 0, got {alpha}")
     return round(1.0 / alpha) if reciprocal_is_integer(alpha) else math.floor(1.0 / alpha)
 
 

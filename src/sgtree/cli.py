@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from typing import Optional
 
 from . import asymptotics, oracle
 from .harness import ExperimentSpec, collect_samples, draw_words, run_experiment
-from .partition import build_ztable, exact_corner, load_ztable, save_ztable, write_ztable_csv
+from .partition import build_ztable, exact_corner, load_ztable, log_z_n, save_ztable, write_ztable_csv
 from .sampler import RandomSource
 from .trees import read_trees, tree_distance
 from .weights import WeightSequence
@@ -26,13 +27,23 @@ def _load_weights(arg: str) -> WeightSequence:
     return WeightSequence.from_config(json.loads(arg))
 
 
+def _check_writable(*paths: Optional[str]) -> None:
+    """Fail before any work if an output's directory is missing or not
+    writable; nothing is created or truncated here."""
+    for folder in (os.path.dirname(p) or "." for p in paths if p):
+        if not os.access(folder, os.W_OK):
+            code = errno.EACCES if os.path.isdir(folder) else errno.ENOENT
+            raise OSError(code, os.strerror(code), folder)
+
+
 def _cmd_ztable(args: argparse.Namespace) -> int:
     ws = _load_weights(args.weights)
+    _check_writable(args.out, args.dump_csv)
     table = build_ztable(ws, args.nmax, allow_large=args.allow_large)
     save_ztable(table, args.out)
     if args.dump_csv:
         write_ztable_csv(table, args.dump_csv)
-    print(f"wrote {args.out}: n_max={args.nmax}, logZ_N(n_max)={table.log_z_n(args.nmax):.6f}")
+    print(f"wrote {args.out}: n_max={args.nmax}, logZ_N(n_max)={log_z_n(ws, args.nmax):.6f}")
     return 0
 
 
@@ -40,6 +51,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     ws = _load_weights(args.weights)
+    _check_writable(args.out)
     if args.table:
         table = load_ztable(args.table)
         if table.ws.to_config() != ws.to_config():
@@ -81,13 +93,12 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     ws = _load_weights(args.weights)
     measure = oracle.exact_nu(args.n, ws)
     table = build_ztable(ws, args.n)
-    log_oracle = measure.log_total
-    log_dp = table.log_z_n(args.n)
-    rel = abs(math.expm1(log_oracle - log_dp))
+    log_dp = float(table.log_table[args.n, args.n - 1]) - math.log(args.n)  # the table's own entry
+    rel = abs(math.expm1(measure.log_total - log_dp))
     payload = {
         "n_edges": args.n,
         "tree_count": len(measure.entries),
-        "log_zn_oracle": log_oracle,
+        "log_zn_oracle": measure.log_total,
         "log_zn_table": log_dp,
         "rel_error": rel,
         "exact_mode": measure.exact,

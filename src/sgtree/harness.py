@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Optional, TextIO
 import numpy as np
 
 from . import asymptotics
-from .partition import ZTable, build_ztable, log_row, worst_exact_sum_residual
+from .partition import ZTable, build_ztable, log_z_n, worst_exact_sum_residual
 from .sampler import RNG_ALGORITHM, RandomSource, rotate_word, sample_composition
 from .trees import PlaneTree, branch_sizes_word, left_ball, star_left_ball
 from .weights import WeightSequence
@@ -97,6 +97,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown tolerances {unknown} for {self.experiment}; choose from {known}")
         if self.exact_upto < 0:
             raise ValueError("exact_upto must be >= 0")
+        if self.allow_large and not kind.reads_table:
+            raise ValueError(f"{self.experiment} builds no table, so it does not read allow_large")
         for reader, other in _KINDS.items():  # a field only one kind reads keeps its default elsewhere
             for name in other.own_fields:
                 if reader != self.experiment and getattr(self, name) != getattr(ExperimentSpec, name):
@@ -204,7 +206,6 @@ class SampleBatch:
     max_other_degree: np.ndarray  # largest degree over vertices != s
     max_branch_size: np.ndarray
     branch_size2_count: np.ndarray
-    is_star: np.ndarray
 
     def emit_csv(self, out: TextIO) -> None:
         """One row per sample, to an open text stream."""
@@ -238,7 +239,6 @@ def collect_samples(
     max_other = np.empty(count, dtype=np.int64)
     max_branch = np.empty(count, dtype=np.int64)
     size2 = np.empty(count, dtype=np.int64)
-    star = np.empty(count, dtype=bool)
     counts = {d: np.zeros(count, dtype=np.int64) for d in track_degrees}
     for j, word in enumerate(draw_words(table, n_edges, count, gen)):
         sigma[j] = word[0] + 1
@@ -247,10 +247,9 @@ def collect_samples(
         sizes = branch_sizes_word(word)
         max_branch[j] = max(sizes) if sizes else 0
         size2[j] = sizes.count(2)
-        star[j] = word[0] == n_edges - 1
         for d in track_degrees:
             counts[d][j] = word.count(d - 1) + (1 if d == 1 else 0)  # r has degree 1
-    return SampleBatch(n_edges, sigma, counts, max_other, max_branch, size2, star)
+    return SampleBatch(n_edges, sigma, counts, max_other, max_branch, size2)
 
 
 def _tv_against_poisson(values: np.ndarray, mean: float) -> float:
@@ -357,8 +356,8 @@ def _poisson_surplus(spec, table, gen, emit_csv_dir):
     against Poisson(lam), and the all-branches-in-{1,2} event."""
     lam = float(table.ws.lam)
     n_edges = max(spec.n_list)
-    log_pred = asymptotics.predict_log_zn(table.ws, n_edges)
-    zn_rel_error = abs(math.expm1(table.log_z_n(n_edges) - log_pred))
+    log_zn, log_pred = log_z_n(table.ws, n_edges), asymptotics.predict_log_zn(table.ws, n_edges)
+    zn_rel_error = abs(math.expm1(log_zn - log_pred))
 
     batch = _sample_batch(spec, table, gen, emit_csv_dir)
     surplus = n_edges - batch.sigma_s
@@ -375,7 +374,7 @@ def _poisson_surplus(spec, table, gen, emit_csv_dir):
     stats = {
         "n_edges": n_edges,
         "lam": lam,
-        "log_zn": table.log_z_n(n_edges),
+        "log_zn": log_zn,
         "zn_rel_error": zn_rel_error,
         "tv_surplus_poisson": tv,
         "branch_structure_frequency": branch_freq,
@@ -476,19 +475,14 @@ def _gaussian_fluctuations(spec, table, gen, emit_csv_dir):
 
 def _logz_expansion(spec, table, gen, emit_csv_dir):
     """Partition-function expansion residuals on a size grid (no sampling,
-    no table): log Z_N = log Z(N, N-1) - log N from row N alone, so the
-    sizes have no table cap."""
+    no table): log Z_N comes from row N alone, so the sizes have no table
+    cap."""
     ws = WeightSequence.from_config(spec.weights)
     alpha = ws.alpha
     n_last = max(spec.n_list)
-    log_w = ws.log_weights_upto(n_last - 1)
-    log_zn = {n: float(log_row(log_w, n, n - 1)[-1]) - math.log(n) for n in spec.n_list}
-    residuals = {}
-    scaled = {}
-    for n_edges in spec.n_list:
-        e_n = log_zn[n_edges] - asymptotics.predict_log_zn(ws, n_edges)
-        residuals[str(n_edges)] = e_n
-        scaled[str(n_edges)] = abs(e_n) / n_edges ** (1.0 - 3.0 * alpha)
+    log_zn = {n: log_z_n(ws, n) for n in spec.n_list}
+    residuals = {str(n): log_zn[n] - asymptotics.predict_log_zn(ws, n) for n in spec.n_list}
+    scaled = {str(n): abs(residuals[str(n)]) / n ** (1.0 - 3.0 * alpha) for n in spec.n_list}
     coarse = (log_zn[n_last] - alpha * math.lgamma(n_last)) / n_last ** (1.0 - alpha)
 
     checks = (
@@ -510,8 +504,8 @@ def _star_dominance(spec, table, gen, emit_csv_dir):
     alpha = table.ws.alpha
     n_edges = max(spec.n_list)
     log_pred = asymptotics.predict_log_zn(table.ws, n_edges)
-    zn_rel_error = abs(math.expm1(table.log_z_n(n_edges) - log_pred))
-    star_freq = float(_sample_batch(spec, table, gen, emit_csv_dir).is_star.mean())
+    zn_rel_error = abs(math.expm1(log_z_n(table.ws, n_edges) - log_pred))
+    star_freq = float((_sample_batch(spec, table, gen, emit_csv_dir).sigma_s == n_edges).mean())
 
     checks = (
         CheckResult("zn_rel_error", zn_rel_error, spec.tolerance("zn_rel_error"), "<="),

@@ -17,8 +17,8 @@ there, and the rest are exponentiated on their own.  Row sums keep the full
 width, so numpy's pairwise summation groups the same terms and the table is
 bit for bit the per-entry log-sum-exp.  log_row computes one row without
 the table, by the power-of-series recurrence, in O(N^2) time and O(N)
-memory.  For families with rational weights, exact_corner computes a corner
-of the same table in Fractions.
+memory, and log_z_n reads log Z_N from it.  For families with rational
+weights, exact_corner computes a corner of the same table in Fractions.
 """
 
 from __future__ import annotations
@@ -124,14 +124,6 @@ class ZTable:
         self.log_w = ws.log_weights_upto(self.n_max)  # log_w[d] = log w_{d+1}
         self.row_views = [memoryview(row) for row in log_table]
         self.log_w_list: list[float] = self.log_w.tolist()
-
-    # -- partition functions --------------------------------------------------
-
-    def log_z_n(self, n_edges: int) -> float:
-        """log Z_N = log Z(N, N-1) - log N: trees with N edges."""
-        if not 1 <= n_edges <= self.n_max:
-            raise ValueError(f"N={n_edges} outside table bound {self.n_max}")
-        return float(self.log_table[n_edges, n_edges - 1]) - math.log(n_edges)
 
     # -- conditional degree laws ---------------------------------------------
 
@@ -241,6 +233,14 @@ def log_row(log_w: np.ndarray, n_vertices: int, upto: int) -> np.ndarray:
             np.exp(tn, out=tn)
             out[n] = mx + math.log(tn.sum()) - math.log(n) - log_w[0]
     return out
+
+
+def log_z_n(ws: WeightSequence, n_edges: int) -> float:
+    """log Z_N = log Z(N, N-1) - log N, the log total weight of the trees
+    with N edges, from row N by log_row: no table, no size cap, N >= 1."""
+    if n_edges < 1:
+        raise ValueError(f"need N >= 1 edges, got {n_edges}")
+    return float(log_row(ws.log_weights_upto(n_edges - 1), n_edges, n_edges - 1)[-1]) - math.log(n_edges)
 
 
 def exact_corner(ws: WeightSequence, m: int) -> list[list[Fraction]]:

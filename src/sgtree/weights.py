@@ -108,13 +108,6 @@ class WeightSequence:
 
     # -- evaluation ---------------------------------------------------------
 
-    def log_weight(self, n: int) -> float:
-        """log w_n, the last entry of log_weights_upto(n - 1).  Degree 0
-        does not exist and is rejected."""
-        if n < 1:
-            raise ValueError(f"degree must be >= 1, got {n}")
-        return float(self.log_weights_upto(n - 1)[n - 1])
-
     def log_weights_upto(self, d_max: int) -> np.ndarray:
         """Array lw with lw[d] = log w_{d+1} for d = 0..d_max: the exponent
         times the cached log(d!), with w_2 pinned to lam for lambda_factorial;

@@ -35,6 +35,7 @@ PUBLIC_NAMES = [
     "lambda_factorial_weights",
     "left_ball",
     "load_ztable",
+    "log_z_n",
     "path_tree",
     "predict",
     "predict_log_zn",
@@ -68,7 +69,6 @@ ZTABLE_ATTRIBUTES = [
     "log_table",
     "log_w",
     "log_w_list",
-    "log_z_n",
     "n_max",
     "root_degree_pmf",
     "row_views",
@@ -92,7 +92,6 @@ WEIGHT_SEQUENCE_ATTRIBUTES = [
     "from_config",
     "is_exact",
     "lam",
-    "log_weight",
     "log_weights_upto",
     "shift_index",
     "table",

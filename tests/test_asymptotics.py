@@ -25,6 +25,9 @@ def test_degree_cutoff():
     assert degree_cutoff(0.5) == 2
     assert degree_cutoff(1 / 3) == 3
     assert degree_cutoff(0.9) == 1
+    for bad in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha must be a finite number > 0"):
+            degree_cutoff(bad)
     assert reciprocal_is_integer(0.5)
     assert not reciprocal_is_integer(0.4)
     assert gaussian_indices(0.5) == [1]

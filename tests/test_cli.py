@@ -6,6 +6,7 @@ import json
 import pytest
 
 from sgtree import AsymptoticPrediction, factorial_alpha_weights, predict_log_zn
+from sgtree import cli
 from sgtree.cli import build_parser, main
 
 CLI_OPTIONS = [
@@ -129,6 +130,34 @@ def test_file_errors_are_one_line(tmp_path, capsys, argv):
     assert err.startswith("sgtree: error: [Errno 2] ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "outputs",
+    [["--out", "{d}/no_dir/u.sgtz"], ["--out", "{d}/u.sgtz", "--dump-csv", "{d}/no_dir/u.csv"],
+     ["--out", "{d}/no_dir/u.sgtz", "--dump-csv", "{d}/u.csv"]],
+    ids=["out", "dump-csv", "out-with-good-csv"],
+)
+def test_ztable_checks_outputs_before_building(tmp_path, capsys, monkeypatch, outputs):
+    """An output path in a missing directory is exit 2 before any build,
+    with no file made and an existing one left as it was."""
+    monkeypatch.setattr(cli, "build_ztable", lambda *args, **kwargs: pytest.fail("table built"))
+    (tmp_path / "u.sgtz").write_bytes(b"keep")
+    (tmp_path / "u.csv").write_bytes(b"keep")
+    argv = ["ztable", "--weights", '{"family": "uniform"}', "--nmax", "700"] + [a.format(d=tmp_path) for a in outputs]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sgtree: error: [Errno 2] ") and "no_dir" in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["u.csv", "u.sgtz"]
+    assert (tmp_path / "u.sgtz").read_bytes() == (tmp_path / "u.csv").read_bytes() == b"keep"
+
+
+def test_sample_checks_out_before_building(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_ztable", lambda *args, **kwargs: pytest.fail("table built"))
+    argv = ["sample", "--weights", '{"family": "uniform"}', "--n", "700", "--out", str(tmp_path / "no_dir" / "t.txt")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("sgtree: error: [Errno 2] ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sample_stats_only(tmp_path, capsys):
     rc = main(
         [
@@ -204,6 +233,13 @@ def test_predict_command(capsys):
     assert payload["poisson_mean"] == pytest.approx(2**0.5)
     assert list(payload) == [f.name for f in dataclasses.fields(AsymptoticPrediction)]
     assert payload["log_zn"] == predict_log_zn(factorial_alpha_weights(0.5), 400)
+
+
+def test_predict_rejects_non_finite_alpha(capsys):
+    for alpha in ("nan", "inf", "0"):
+        assert main(["predict", "--alpha", alpha, "--n", "400"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sgtree: error: alpha must be a finite number > 0") and err.count("\n") == 1
 
 
 def test_oracle_check_command(capsys):

@@ -314,6 +314,16 @@ def test_logz_expansion_rejects_a_shared_table():
         run_experiment(spec, table=table)
 
 
+def test_allow_large_only_where_a_table_is_built():
+    """allow_large lifts the square table's size cap, so logz_expansion,
+    which builds no table, rejects it; the default stays valid in echoed specs."""
+    alpha05 = {"family": "factorial_alpha", "alpha": 0.5}
+    with pytest.raises(ValueError, match="logz_expansion builds no table, so it does not read allow_large"):
+        ExperimentSpec(LOGZ_EXPANSION, alpha05, (20,), allow_large=True)
+    assert not ExperimentSpec(LOGZ_EXPANSION, alpha05, (20,), allow_large=False).allow_large
+    assert ExperimentSpec(DEGREE_BOUNDS, alpha05, (20,), allow_large=True).allow_large
+
+
 def test_logz_expansion_past_the_table_cap():
     """alpha = 0.5 past the table cap without allow_large: the residual
     against predict_log_zn over N^(1-3 alpha) is 2.27 at N = 1000 and 2.14

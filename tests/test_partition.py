@@ -28,6 +28,7 @@ from sgtree.partition import (
     _log_conv_row,
     exact_corner,
     log_row,
+    log_z_n,
     worst_exact_sum_residual,
 )
 
@@ -52,8 +53,9 @@ def test_known_small_values():
 def test_single_row_is_weights():
     ws = factorial_alpha_weights(0.5)
     t = build_ztable(ws, 8)
+    log_w = ws.log_weights_upto(8)
     for n in range(0, 9):
-        assert t.log_table[1, n] == pytest.approx(ws.log_weight(n + 1), rel=1e-14)
+        assert t.log_table[1, n] == pytest.approx(log_w[n], rel=1e-14)
 
 
 def test_z_n_values(table_uniform_small):
@@ -61,7 +63,7 @@ def test_z_n_values(table_uniform_small):
     assert z[1][0] == 1  # Z_1 = Z(1, 0): the single edge
     assert z[3][2] / 3 == 2  # Z_N = Z(N, N-1) / N
     assert exact_corner(lambda_factorial_weights(1), 3)[3][2] / 3 == 3
-    assert math.exp(table_uniform_small.log_z_n(3)) == pytest.approx(2.0, rel=1e-12)
+    assert math.exp(table_uniform_small.log_table[3, 2] - math.log(3)) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_forest_values():
@@ -105,16 +107,6 @@ def test_log_row_matches_exact_fractions():
         assert _close(log_row(log_w, n_vertices, upto), ref)
 
 
-def test_log_row_matches_enumeration_irrational():
-    """Irrational family: log Z_N = log Z(N, N-1) - log N against the sum
-    over every tree with N edges."""
-    ws = factorial_alpha_weights(0.37)
-    log_w = ws.log_weights_upto(12)
-    for n_edges in range(1, 13):
-        got = log_row(log_w, n_edges, n_edges - 1)[-1] - math.log(n_edges)
-        assert got == pytest.approx(exact_nu(n_edges, ws).log_total, rel=1e-12, abs=1e-12)
-
-
 @pytest.mark.parametrize(
     "ws",
     [
@@ -125,16 +117,21 @@ def test_log_row_matches_enumeration_irrational():
         factorial_alpha_weights(0.6),
         factorial_alpha_weights(1.5),
         custom_weights([1, 0, 2, 0, 5, 1, 0, 3]),
+        custom_weights([1, 0, 1]),
     ],
     ids=lambda ws: str(ws.to_config()),
 )
 def test_log_row_matches_table_rows(ws):
-    """Rows of the n_max = 400 table, n <= min(N+1, n_max); the custom
-    family's zero entries are -inf in both."""
+    """Rows of the n_max = 400 table, n <= min(N+1, n_max), and log_z_n
+    against the table's entry log Z(N, N-1) - log N; the custom families'
+    zero entries are -inf in both (w = [1, 0, 1] has no tree with an even
+    number of edges)."""
     t = build_ztable(ws, 400)
-    for n_vertices in (1, 2, 3, 64, 200, 399, 400):
+    for n_vertices in (1, 2, 3, 64, 199, 200, 399, 400):
         upto = min(n_vertices + 1, 400)
         assert _close(log_row(t.log_w, n_vertices, upto), t.log_table[n_vertices, : upto + 1])
+        log_zn = t.log_table[n_vertices, n_vertices - 1] - math.log(n_vertices)
+        assert _close(np.array([log_z_n(ws, n_vertices)]), np.array([log_zn]))
 
 
 def test_log_row_one_vertex_is_the_weights():
@@ -153,6 +150,29 @@ def test_log_row_rejects_what_it_cannot_compute():
     log_row(log_w, 5, 6)  # N+1 itself is fine
     with pytest.raises(ValueError, match="w_1 > 0"):
         log_row(np.array([-np.inf, 0.0, 0.0]), 2, 2)
+
+
+@pytest.mark.parametrize("ws", [uniform_weights(), lambda_factorial_weights(1), lambda_factorial_weights(2)],
+                         ids=lambda ws: str(ws.to_config()))
+def test_log_z_n_matches_exact_fractions(ws):
+    """Rational families: log Z_N for N <= 12 against log(Z(N, N-1)/N) from exact_corner."""
+    z = exact_corner(ws, 12)
+    for n in range(1, 13):
+        exact = z[n][n - 1] / n
+        assert log_z_n(ws, n) == pytest.approx(math.log(exact.numerator) - math.log(exact.denominator), rel=1e-12)
+
+
+def test_log_z_n_matches_enumeration_irrational():
+    """alpha = 0.37: log Z_N for N <= 12 against the sum over every tree with N edges."""
+    ws = factorial_alpha_weights(0.37)
+    for n in range(1, 13):
+        assert log_z_n(ws, n) == pytest.approx(exact_nu(n, ws).log_total, rel=1e-12)
+
+
+def test_log_z_n_rejects_no_edges():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="N >= 1"):
+            log_z_n(uniform_weights(), n)
 
 
 def _compositions(n_slots, total):

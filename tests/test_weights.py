@@ -35,31 +35,32 @@ def test_log_factorial_rejects_negative():
 
 
 def test_log_weight_examples():
-    assert factorial_alpha_weights(0.5).log_weight(1) == 0.0  # 0!^0.5 = 1
-    assert lambda_factorial_weights(2).log_weight(2) == pytest.approx(math.log(2), rel=1e-15)
-    assert factorial_alpha_weights(0.5).log_weight(4) == pytest.approx(
-        0.5 * math.log(6), rel=1e-14
-    )
+    """log_weights_upto(d_max)[d] = log w_{d+1}."""
+    assert factorial_alpha_weights(0.5).log_weights_upto(0)[0] == 0.0  # 0!^0.5 = 1
+    assert lambda_factorial_weights(2).log_weights_upto(1)[1] == pytest.approx(math.log(2), rel=1e-15)
+    assert factorial_alpha_weights(0.5).log_weights_upto(3)[3] == pytest.approx(0.5 * math.log(6), rel=1e-14)
 
 
 def test_degree_zero_rejected():
-    for ws in (uniform_weights(), factorial_alpha_weights(1.5)):
-        with pytest.raises(ValueError):
-            ws.log_weight(0)
+    for ws in (uniform_weights(), factorial_alpha_weights(1.5), custom_weights(["1", "0", "1"])):
+        with pytest.raises(ValueError, match="degree"):
+            ws.exact_weight(0)
 
 
 def test_log_weight_deterministic():
+    """The same bits on every call, whatever d_max: a longer array extends a shorter one."""
     ws = factorial_alpha_weights(0.37)
-    vals = [ws.log_weight(n) for n in range(1, 200)]
-    assert vals == [ws.log_weight(n) for n in range(1, 200)]
+    full = ws.log_weights_upto(198).tolist()
+    assert full == ws.log_weights_upto(198).tolist()
+    assert all(ws.log_weights_upto(d).tolist() == full[: d + 1] for d in range(199))
 
 
 def test_lambda_family_matches_factorial_at_lam_one():
     # alpha = 1 factorial powers coincide with the pinned family at lam = 1
     fa = factorial_alpha_weights(1.0)
     lf = lambda_factorial_weights(1)
+    assert fa.log_weights_upto(58).tolist() == lf.log_weights_upto(58).tolist()
     for n in range(1, 60):
-        assert fa.log_weight(n) == lf.log_weight(n)
         assert fa.exact_weight(n) == lf.exact_weight(n)
 
 
@@ -72,9 +73,10 @@ def test_exact_view_matches_log_view():
     1e-12 relative to the magnitude of the log.
     """
     for ws in (uniform_weights(), lambda_factorial_weights("2.5"), factorial_alpha_weights(2.0)):
+        log_w = ws.log_weights_upto(10_000 - 1)
         for n in list(range(1, 120)) + [500, 2000, 10_000]:
             exact = ws.exact_weight(n)
-            got = ws.log_weight(n)
+            got = float(log_w[n - 1])
             if exact == 0:
                 assert got == LOG_ZERO
                 continue
@@ -88,7 +90,7 @@ def test_custom_weights_validity():
     ws = custom_weights(["1", "0.5", "2"])
     assert ws.exact_weight(2) == Fraction(1, 2)
     assert ws.exact_weight(9) == 0
-    assert ws.log_weight(9) == LOG_ZERO
+    assert ws.log_weights_upto(8)[8] == LOG_ZERO
     with pytest.raises(ValueError):
         custom_weights(["0", "1", "1"])  # w_1 = 0
     with pytest.raises(ValueError):
