@@ -38,6 +38,7 @@ from .partition import (
 )
 from .sampler import (
     RNG_ALGORITHM,
+    SAMPLER_ALGORITHM,
     RandomSource,
     rotate_word,
     sample_composition,

@@ -28,9 +28,13 @@ def _load_weights(arg: str) -> WeightSequence:
 
 
 def _check_writable(*paths: Optional[str]) -> None:
-    """Fail before any work if an output's directory is missing or not
-    writable; nothing is created or truncated here."""
-    for folder in (os.path.dirname(p) or "." for p in paths if p):
+    """Fail before any work if an output is an existing directory, or its
+    directory is missing or not writable; nothing is created or truncated
+    here."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        folder = os.path.dirname(path) or "."
         if not os.access(folder, os.W_OK):
             code = errno.EACCES if os.path.isdir(folder) else errno.ENOENT
             raise OSError(code, os.strerror(code), folder)

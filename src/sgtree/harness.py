@@ -23,7 +23,7 @@ import numpy as np
 
 from . import asymptotics
 from .partition import ZTable, build_ztable, log_z_n, worst_exact_sum_residual
-from .sampler import RNG_ALGORITHM, RandomSource, rotate_word, sample_composition
+from .sampler import RNG_ALGORITHM, SAMPLER_ALGORITHM, RandomSource, rotate_word, sample_composition
 from .trees import PlaneTree, branch_sizes_word, left_ball, star_left_ball
 from .weights import WeightSequence
 
@@ -177,6 +177,7 @@ class ExperimentReport:
             "experiment": self.spec.experiment,
             "spec": self.spec.to_dict(),
             "rng_algorithm": RNG_ALGORITHM,
+            "sampler_algorithm": SAMPLER_ALGORITHM,
             "stats": self.stats,
             "predictions": self.predictions,
             "checks": [c.to_dict() for c in self.checks],

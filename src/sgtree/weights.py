@@ -112,6 +112,8 @@ class WeightSequence:
         """Array lw with lw[d] = log w_{d+1} for d = 0..d_max: the exponent
         times the cached log(d!), with w_2 pinned to lam for lambda_factorial;
         a custom table is read as given and is zero past its end."""
+        if d_max < 0:
+            raise ValueError(f"d_max must be >= 0, got {d_max}")
         if self.family == CUSTOM:
             known = [_log_fraction(w) for w in self.table[: d_max + 1]]
             return np.array(known + [LOG_ZERO] * (d_max + 1 - len(known)))

@@ -14,6 +14,7 @@ PUBLIC_NAMES = [
     "PlaneTree",
     "RNG_ALGORITHM",
     "RandomSource",
+    "SAMPLER_ALGORITHM",
     "TableSizeError",
     "WeightDecayError",
     "WeightSequence",

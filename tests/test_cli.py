@@ -158,6 +158,28 @@ def test_sample_checks_out_before_building(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ztable", "--weights", '{{"family": "uniform"}}', "--nmax", "300", "--out", "{d}/adir"],
+        ["ztable", "--weights", '{{"family": "uniform"}}', "--nmax", "300", "--out", "{d}/u.sgtz",
+         "--dump-csv", "{d}/adir"],
+        ["sample", "--weights", '{{"family": "uniform"}}', "--n", "300", "--out", "{d}/adir"],
+    ],
+    ids=["ztable-out", "ztable-dump-csv", "sample-out"],
+)
+def test_directory_output_fails_before_building(tmp_path, capsys, monkeypatch, argv):
+    """An output path that is an existing directory is exit 2 before any
+    build or draw, and nothing is written."""
+    monkeypatch.setattr(cli, "build_ztable", lambda *args, **kwargs: pytest.fail("table built"))
+    (tmp_path / "adir").mkdir()
+    assert main([a.format(d=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sgtree: error: [Errno 21] ") and "adir" in err and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
 def test_sample_stats_only(tmp_path, capsys):
     rc = main(
         [
@@ -193,7 +215,7 @@ def test_sample_words_pinned(capsys):
     weights = '{"family":"factorial_alpha","alpha":0.5}'
     assert main(["sample", "--weights", weights, "--n", "60", "--count", "200", "--seed", "3"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
-    assert digest == "92952ab0b1b48018ca7789aaadcfcdf133c3208b483f0597b042056a45eaf045"
+    assert digest == "742ac299030f283d1b372f0a88aac870cab2266a7be8fdfd13280b282909c684"
 
 
 def test_sample_seed_determinism(tmp_path):
@@ -265,6 +287,7 @@ def test_experiment_command(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert report["passed"] is True
     assert report["rng_algorithm"] == "philox4x64"
+    assert report["sampler_algorithm"] == "zero-run-search"
     assert report["spec"]["experiment"] == "logz_expansion"
 
 

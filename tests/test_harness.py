@@ -199,12 +199,12 @@ def test_poisson_surplus_stats_pinned():
     """Same seed, same statistics: pins the draws of the harness path."""
     spec = ExperimentSpec(POISSON_SURPLUS, {"family": "lambda_factorial", "lam": "2"}, (40,), samples=300, seed=7)
     stats = run_experiment(spec).stats
-    assert stats["surplus_histogram"] == [39, 62, 81, 62, 29, 8, 4, 1, 1] + [0] * 29 + [13]
-    assert stats["branch_structure_frequency"] == 0.82
+    assert stats["surplus_histogram"] == [36, 51, 79, 56, 36, 14, 2, 1, 2, 0, 1] + [0] * 26 + [1, 21]
+    assert stats["branch_structure_frequency"] == 229 / 300
     assert (stats["n_edges"], stats["lam"]) == (40, 2.0)
     assert stats["log_zn"] == pytest.approx(108.69306454459961, rel=1e-12)
     assert stats["zn_rel_error"] == pytest.approx(0.06322238648500822, rel=1e-8)
-    assert stats["tv_surplus_poisson"] == pytest.approx(0.0797736922661449, rel=1e-12)
+    assert stats["tv_surplus_poisson"] == pytest.approx(0.12900922984009833, rel=1e-12)
 
 
 def test_tv_against_poisson_sanity():
@@ -280,7 +280,8 @@ def test_degree_bounds_runner_small():
         tolerances={
             "min_degree_bound_frequency": 0.5,
             "min_branch_bound_frequency": 0.35,
-            "min_ratio_frequency": 0.5,
+            # population value ~0.503 (80,000 draws); 4.5 se of 1,500 draws below it
+            "min_ratio_frequency": 0.44,
             "tv_poisson": 0.08,
         },
     )

@@ -9,7 +9,9 @@ from sgtree import (
     PlaneTree,
     RandomSource,
     build_ztable,
+    custom_weights,
     exact_nu,
+    factorial_alpha_weights,
     lambda_factorial_weights,
     rotate_word,
     sample_composition,
@@ -97,8 +99,6 @@ def test_exactness_tv_small_sizes():
     The uniform size-7 case spreads mass over all 132 trees, the worst
     case for multinomial noise, hence the larger draw count there.
     """
-    from sgtree import factorial_alpha_weights
-
     cases = [
         (lambda_factorial_weights(1), 4, 20_000, 0.03),
         (lambda_factorial_weights(2), 5, 20_000, 0.03),
@@ -111,6 +111,59 @@ def test_exactness_tv_small_sizes():
         gen = RandomSource(40 + n_edges).generator()
         counts = Counter(sample_tree(table, n_edges, gen).word for _ in range(draws))
         assert tv_distance(counts, exact_nu(n_edges, ws)) < bound
+
+
+def test_exactness_tv_custom_zero_weights():
+    """Custom families with zero weights put -inf entries in the table
+    columns that the zero-run search crosses."""
+    for weights in (["1", "0", "1"], ["1", "0", "2", "0", "5", "1", "0", "3"]):
+        ws = custom_weights(weights)
+        table = build_ztable(ws, 7)
+        gen = RandomSource(47).generator()
+        counts = Counter(sample_tree(table, 7, gen).word for _ in range(50_000))
+        assert tv_distance(counts, exact_nu(7, ws)) < 0.02
+
+
+_PROPERTY_TABLES = [
+    build_ztable(ws, 30)
+    for ws in (
+        uniform_weights(),
+        lambda_factorial_weights(2),
+        factorial_alpha_weights(0.5),
+        factorial_alpha_weights(1.5),
+        custom_weights(["1", "0", "1"]),
+    )
+]
+
+
+@given(
+    st.sampled_from(_PROPERTY_TABLES),
+    st.integers(1, 30),
+    st.integers(0, 30),
+    st.integers(0, 2**32 - 1),
+)
+def test_composition_has_admissible_parts(table, n_slots, total, seed):
+    """Any admissible (n_slots, total): n_slots parts summing to total, each
+    of positive weight."""
+    if table.log_table[n_slots, total] == -math.inf:
+        return
+    comp = sample_composition(table, n_slots, total, RandomSource(seed).generator())
+    assert len(comp) == n_slots and sum(comp) == total
+    assert all(table.log_w_list[d] > -math.inf for d in comp)
+
+
+def test_sigma_mean_condensed():
+    """E[sigma(s)] from 20,000 trees at alpha=1.5, N=400, where one vertex
+    takes almost every edge, within 4.5 standard errors of the exact law."""
+    n, draws = 400, 20_000
+    table = build_ztable(factorial_alpha_weights(1.5), n)
+    p = table.root_degree_pmf(n)
+    k = np.arange(1, n + 1)
+    mean = float(p @ k)
+    se = math.sqrt((float(p @ k**2) - mean**2) / draws)
+    gen = RandomSource(21).generator()
+    sampled = sum(sample_tree(table, n, gen).word[0] + 1 for _ in range(draws)) / draws
+    assert abs(sampled - mean) < 4.5 * se
 
 
 def test_sigma_marginal_agreement():

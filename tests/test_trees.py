@@ -201,5 +201,5 @@ def test_tree_walks_pinned(random_words):
             h.update(repr(left_ball(t, radius).word).encode())
     for t, u in zip(trees, trees[1:]):
         h.update(b"1" if is_left_subtree(left_ball(t, 3), u) else b"0")
-    assert h.hexdigest() == "46c333a095dfbb06edf83f39d006b08605eafdeb352217a3f3dec4d59422f729"
+    assert h.hexdigest() == "0da4f173bfc6da6b0bff0136136b4be09b51c5d5323f56b3fdc189dfb71457f3"
     assert tree_distance(path_tree(700), path_tree(701)) == Fraction(1, 701)

@@ -41,6 +41,19 @@ def test_log_weight_examples():
     assert factorial_alpha_weights(0.5).log_weights_upto(3)[3] == pytest.approx(0.5 * math.log(6), rel=1e-14)
 
 
+def test_negative_d_max_rejected():
+    """One error naming d_max, for every family."""
+    families = (
+        uniform_weights(),
+        lambda_factorial_weights(2),
+        factorial_alpha_weights(0.5),
+        custom_weights(["1", "0", "1"]),
+    )
+    for ws in families:
+        with pytest.raises(ValueError, match=r"d_max must be >= 0, got -1"):
+            ws.log_weights_upto(-1)
+
+
 def test_degree_zero_rejected():
     for ws in (uniform_weights(), factorial_alpha_weights(1.5), custom_weights(["1", "0", "1"])):
         with pytest.raises(ValueError, match="degree"):
