@@ -52,6 +52,8 @@ def _cmd_ztable(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     ws = _load_weights(args.weights)
@@ -71,7 +73,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             collect_samples(table, args.n, args.count, gen).emit_csv(out)
         else:
             for word in draw_words(table, args.n, args.count, gen):
-                out.write(" ".join(str(d) for d in word) + "\n")
+                out.write(" ".join(map(str, word)) + "\n")
     finally:
         if args.out:
             out.close()

@@ -16,7 +16,9 @@ import math
 import numbers
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Iterator, Optional, TextIO
 
 import numpy as np
@@ -242,14 +244,16 @@ def collect_samples(
     size2 = np.empty(count, dtype=np.int64)
     counts = {d: np.zeros(count, dtype=np.int64) for d in track_degrees}
     for j, word in enumerate(draw_words(table, n_edges, count, gen)):
+        parts = Counter(compress(word, word))  # the non-zero entries only
+        parts[0] = word.count(0)
         sigma[j] = word[0] + 1
         rest = word[1:]
-        max_other[j] = (max(rest) + 1) if rest else 1
+        max_other[j] = max(compress(rest, rest), default=0) + 1
         sizes = branch_sizes_word(word)
         max_branch[j] = max(sizes) if sizes else 0
         size2[j] = sizes.count(2)
         for d in track_degrees:
-            counts[d][j] = word.count(d - 1) + (1 if d == 1 else 0)  # r has degree 1
+            counts[d][j] = parts[d - 1] + (1 if d == 1 else 0)  # r has degree 1
     return SampleBatch(n_edges, sigma, counts, max_other, max_branch, size2)
 
 

@@ -14,9 +14,11 @@ galloping (1, 2, 4, ...) and bisecting on column n of the table.  Then the
 next part, conditioned to be non-zero, is drawn by scanning d in the fixed
 order 1, n, 2, n-1, ..., which reaches a small part in about 2d steps and a
 part near n in about 2(n-d).  With l non-zero parts a composition costs
-O(l log N) table reads plus the scans, so a condensed tree (one giant part
-and a few small ones) costs its non-leaf parts, not N; the dense list it
-returns is still built in O(N).
+O(l log N) table reads plus the scans, and its runs of zeros go into the
+dense list it returns as C-level list repeats.  rotate_word finds its cut
+from the l non-zero positions after one C-level scan of the word.  So the
+Python work on a condensed tree (one giant part and a few small ones) is
+O(l), not N; only the C-level scans and copies still touch every slot.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .partition import ZTable
-from .trees import PlaneTree
+from .trees import PlaneTree, _nonleaf_positions
 
 RNG_ALGORITHM = "philox4x64"  # counter-based; (seed, stream) is the key
 SAMPLER_ALGORITHM = "zero-run-search"  # the map from uniforms to compositions
@@ -131,17 +133,16 @@ def rotate_word(word: Sequence[int]) -> list[int]:
     """The unique cyclic rotation of a composition with sum len-1 that is a
     valid outdegree word: start right after the first prefix-sum minimum of
     (d_i - 1)."""
-    total = sum(word)
-    if total != len(word) - 1:
+    n = len(word)
+    if sum(word) != n - 1:
         raise ValueError("composition must sum to length - 1")
-    s = 0
-    s_min = 1
-    cut = 0
-    for i, d in enumerate(word):
-        s += d - 1
-        if s < s_min:
-            s_min = s
-            cut = i + 1
+    # The partial sums fall by one per zero, so the first minimum sits just
+    # before a non-zero position p, where it is acc - p, or at the end (-1).
+    acc, s_min, cut = 0, 0, n
+    for p in _nonleaf_positions(word):
+        if acc - p < s_min:
+            s_min, cut = acc - p, p
+        acc += word[p]
     return list(word[cut:]) + list(word[:cut])
 
 

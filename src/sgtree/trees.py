@@ -8,6 +8,10 @@ condition: every proper prefix sum of (outdeg - 1) stays >= 0 and the full
 sum is -1.  The empty word is allowed as the degenerate radius-0 ball
 consisting of r alone.
 
+A condensed word is mostly leaves: l << N non-zero entries.  Validation,
+the degree profile and the branch sizes cost one C-level scan of the word
+plus O(l) Python steps over the non-zero entries and the runs between them.
+
 The local topology is compared through left balls: the radius-R left ball
 keeps, top-down from s, only vertices at distance <= R from r, and at most
 the R-1 leftmost children of any kept vertex (so kept vertices have degree
@@ -21,7 +25,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress
 from typing import Callable
+
+
+def _nonleaf_positions(word) -> list[int]:
+    """Positions of the non-zero entries of word, by one C-level scan."""
+    return list(compress(range(len(word)), word))
 
 
 @dataclass(frozen=True)
@@ -33,14 +43,18 @@ class PlaneTree:
         object.__setattr__(self, "word", word)
         if not word:
             return  # degenerate: just the root r
-        s = 0
-        for i, d in enumerate(word):
-            if d < 0:
-                raise ValueError(f"negative outdegree at position {i}")
-            s += d - 1
-            if s < 0 and i < len(word) - 1:
+        # The prefix sum of (d - 1) falls by one per leaf: its low points are
+        # acc - p just before each non-leaf p, and total - (N - 1) at slot N-2.
+        acc = 0
+        for p in _nonleaf_positions(word):
+            if acc < p:
                 raise ValueError("invalid outdegree word: prefix closes early")
-        if s != -1:
+            if word[p] < 0:
+                raise ValueError(f"negative outdegree at position {p}")
+            acc += word[p]
+        if acc < len(word) - 1:
+            raise ValueError("invalid outdegree word: prefix closes early")
+        if acc != len(word) - 1:
             raise ValueError("invalid outdegree word: total must be length - 1")
 
     @property
@@ -96,24 +110,31 @@ class DegreeProfile:
 
 def degree_profile(t: PlaneTree) -> DegreeProfile:
     """Degree counts X_i.  Satisfies sum X_i = N+1 and sum i*X_i = 2N."""
-    counts = {d + 1: c for d, c in Counter(t.word).items()}
-    counts[1] = counts.get(1, 0) + 1  # the root r
+    word = t.word
+    counts = {d + 1: c for d, c in Counter(compress(word, word)).items()}  # the non-leaf vertices
+    counts[1] = word.count(0) + 1  # the leaves and the root r
     return DegreeProfile(counts)
 
 
 def branch_sizes_word(word: tuple[int, ...]) -> list[int]:
-    """Vertex counts of the subtrees hanging below s, left to right."""
-    if not word:
+    """Vertex counts of the subtrees hanging below s, left to right.
+
+    The prefix sum S of word[0] and then (d - 1) falls by one per leaf, and
+    the k-th branch closes where S first reaches word[0] - k.  So a run of
+    leaves that takes S to a new low closes one branch that began after the
+    last close, and then one leaf branch per further step down.
+    """
+    if not word or not word[0]:
         return []
+    nonleaf = _nonleaf_positions(word)
     sizes: list[int] = []
-    pos = 1
-    for _ in range(word[0]):
-        need, i = 1, pos
-        while need:
-            need += word[i] - 1
-            i += 1
-        sizes.append(i - pos)
-        pos = i
+    low, last = word[0], 0  # the lowest S so far, and where the last branch closed
+    for p, acc in zip(nonleaf[1:] + [len(word)], accumulate(map(word.__getitem__, nonleaf))):
+        level = acc - p + 1  # S at p - 1, where the run of leaves before p ends
+        if level < low:
+            sizes.append(p - low + level - last)  # closes where S first reaches low - 1
+            sizes += [1] * (low - 1 - level)
+            low, last = level, p - 1
     return sizes
 
 

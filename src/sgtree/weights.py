@@ -63,6 +63,14 @@ def log_factorial(n: int) -> float:
     return _LOG_FACTORIALS[n]
 
 
+def _fraction(value: Union[int, float, str, Fraction]) -> Fraction:
+    """An exact weight from a number or a decimal/fraction string."""
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise ValueError(f"weight {value!r} has a zero denominator") from None
+
+
 def _log_fraction(x: Fraction) -> float:
     if x == 0:
         return LOG_ZERO
@@ -197,7 +205,7 @@ def uniform_weights() -> WeightSequence:
 
 def lambda_factorial_weights(lam: Union[int, float, str, Fraction]) -> WeightSequence:
     """w_2 = lam and w_n = (n-1)! for every n != 2."""
-    return WeightSequence(LAMBDA_FACTORIAL, lam=Fraction(str(lam)))
+    return WeightSequence(LAMBDA_FACTORIAL, lam=_fraction(lam))
 
 
 def factorial_alpha_weights(alpha: float) -> WeightSequence:
@@ -210,5 +218,5 @@ def custom_weights(weights: Sequence[Union[int, str, Fraction]]) -> WeightSequen
 
     Entries are parsed as exact decimals/fractions ("0.5", "1/3", 2, ...).
     """
-    table = tuple(Fraction(str(w)) for w in weights)
+    table = tuple(map(_fraction, weights))
     return WeightSequence(CUSTOM, table=table)

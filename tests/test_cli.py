@@ -210,6 +210,28 @@ def test_sample_count_below_one_is_an_error(capsys, count, mode):
     assert captured.out == "" and captured.err == f"sgtree: error: --count must be >= 1, got {count}\n"
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+@pytest.mark.parametrize("mode", [[], ["--table", "missing.sgtz"]])
+def test_sample_n_below_one_names_the_flag(capsys, n, mode):
+    """--n < 1 is rejected before a table is built or loaded (the table
+    named here does not exist), and the error names --n."""
+    assert main(["sample", "--weights", '{"family": "uniform"}', "--n", n] + mode) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"sgtree: error: --n must be >= 1, got {n}\n"
+
+
+@pytest.mark.parametrize(
+    "weights",
+    ['{"family": "lambda_factorial", "lam": "1/0"}', '{"family": "custom", "weights": ["1", "1/0", "2"]}'],
+)
+def test_zero_denominator_weight_is_bad_input(capsys, weights):
+    """A weight with a zero denominator is exit code 2 with one line that
+    names it, not a ZeroDivisionError traceback."""
+    assert main(["sample", "--weights", weights, "--n", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "sgtree: error: weight '1/0' has a zero denominator\n"
+
+
 def test_sample_words_pinned(capsys):
     """Same seed, same trees: pins the words `sgtree sample` prints."""
     weights = '{"family":"factorial_alpha","alpha":0.5}'
