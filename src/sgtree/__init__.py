@@ -26,6 +26,7 @@ from .harness import (
     ExperimentSpec,
     collect_samples,
     run_experiment,
+    sample_tree,
 )
 from .oracle import EnumeratedMeasure, enumerate_trees, exact_nu, tv_distance
 from .partition import (
@@ -42,7 +43,6 @@ from .sampler import (
     RandomSource,
     rotate_word,
     sample_composition,
-    sample_tree,
 )
 from .trees import (
     DegreeProfile,

@@ -30,13 +30,8 @@ _MAX_NEWTON_STEPS = 100
 
 
 class BoundaryHitError(RuntimeError):
-    """No stationary point inside the search box: N too small."""
-
-
-class NoConvergenceError(RuntimeError):
-    def __init__(self, grad_norm: float):
-        super().__init__(f"center solve stalled with gradient norm {grad_norm:.3e}")
-        self.grad_norm = grad_norm
+    """The center solve found no stationary point inside the search box:
+    N too small."""
 
 
 def reciprocal_is_integer(alpha: float) -> bool:
@@ -62,6 +57,8 @@ def degree_count_scale(alpha: float, n_edges: int, i: int) -> float:
     vertices."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
+    if n_edges < 1:
+        raise ValueError(f"n_edges must be >= 1, got {n_edges}")
     if not 1 <= i <= degree_cutoff(alpha):
         raise ValueError(f"i={i} outside 1..{degree_cutoff(alpha)}")
     return math.factorial(i) ** alpha * n_edges ** (1.0 - i * alpha)
@@ -132,9 +129,10 @@ def solve_centers(alpha: float, n_edges: int) -> np.ndarray:
     coordinates i < 1/alpha, inside the box [scale_i / 2, 3 scale_i / 2].
 
     Damped Newton from m_i = scale_i, to a gradient below _CENTER_TOL in at
-    most _MAX_NEWTON_STEPS steps; when the line search cannot reduce
-    the gradient, the box holds no reachable stationary point and
-    BoundaryHitError is raised.  In the boundary
+    most _MAX_NEWTON_STEPS steps.  A singular Hessian, a line search that
+    cannot reduce the gradient, a solve that runs out of steps and a
+    stationary point outside the box all mean that the box holds no
+    reachable stationary point, and raise BoundaryHitError.  In the boundary
     case 1/alpha integral, the Poisson coordinate i = K is excluded (its
     stationary value would sit outside any thin box around the constant
     scale K!^alpha) but the correction sum keeps j_max = K.
@@ -155,7 +153,7 @@ def solve_centers(alpha: float, n_edges: int) -> np.ndarray:
         try:
             step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
-            step = g * m  # gradient ascent scaled to the coordinate size
+            raise BoundaryHitError("singular Hessian in the center solve; increase n_edges") from None
         t = 1.0
         for _ in range(40):
             trial = m + t * step
@@ -171,7 +169,10 @@ def solve_centers(alpha: float, n_edges: int) -> np.ndarray:
                 f"inside box [{lo.tolist()}, {hi.tolist()}]; increase n_edges"
             )
     if np.abs(g).max() >= _CENTER_TOL:
-        raise NoConvergenceError(float(np.abs(g).max()))
+        raise BoundaryHitError(
+            f"damped Newton at gradient norm {np.abs(g).max():.3e} "
+            f"did not converge in {_MAX_NEWTON_STEPS} steps; increase n_edges"
+        )
     if np.any(m <= lo) or np.any(m >= hi):
         raise BoundaryHitError(
             f"stationary point {m.tolist()} outside box [{lo.tolist()}, {hi.tolist()}]; increase n_edges"

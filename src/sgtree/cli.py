@@ -12,7 +12,7 @@ import sys
 from typing import Optional
 
 from . import asymptotics, oracle
-from .harness import ExperimentSpec, collect_samples, draw_words, run_experiment
+from .harness import ExperimentSpec, collect_samples, run_experiment, sample_tree
 from .partition import build_ztable, exact_corner, load_ztable, log_z_n, save_ztable, write_ztable_csv
 from .sampler import RandomSource
 from .trees import read_trees, tree_distance
@@ -72,8 +72,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         if args.stats_only:
             collect_samples(table, args.n, args.count, gen).emit_csv(out)
         else:
-            for word in draw_words(table, args.n, args.count, gen):
-                out.write(" ".join(map(str, word)) + "\n")
+            for _ in range(args.count):
+                out.write(f"{sample_tree(table, args.n, gen)}\n")
     finally:
         if args.out:
             out.close()

@@ -16,17 +16,15 @@ import math
 import numbers
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
-from typing import Callable, Iterator, Optional, TextIO
+from typing import Callable, Optional, TextIO
 
 import numpy as np
 
 from . import asymptotics
 from .partition import ZTable, build_ztable, log_z_n, worst_exact_sum_residual
 from .sampler import RNG_ALGORITHM, SAMPLER_ALGORITHM, RandomSource, rotate_word, sample_composition
-from .trees import PlaneTree, branch_sizes_word, left_ball, star_left_ball
+from .trees import PlaneTree, branch_sizes, degree_profile, left_ball, star_left_ball
 from .weights import WeightSequence
 
 STAR_CONVERGENCE = "star_convergence"
@@ -222,12 +220,12 @@ class SampleBatch:
             out.write(",".join(vals) + "\n")
 
 
-def draw_words(table: ZTable, n_edges: int, count: int, gen: np.random.Generator) -> Iterator[list[int]]:
-    """Outdegree words of `count` exact N-edge trees drawn from one generator:
-    a composition against the table, then its cycle-lemma rotation.  Every
-    tree the harness and the CLI draw comes from here."""
-    for _ in range(count):
-        yield rotate_word(sample_composition(table, n_edges, n_edges - 1, gen))
+def sample_tree(table: ZTable, n_edges: int, rng: np.random.Generator) -> PlaneTree:
+    """One exact draw from the N-edge tree measure: a composition against
+    the table, then its cycle-lemma rotation.  Every tree the harness and
+    the CLI draw comes from here, through this module's names for the two
+    steps, so wrapping those names sees every draw."""
+    return PlaneTree(tuple(rotate_word(sample_composition(table, n_edges, n_edges - 1, rng))))
 
 
 def collect_samples(
@@ -243,17 +241,17 @@ def collect_samples(
     max_branch = np.empty(count, dtype=np.int64)
     size2 = np.empty(count, dtype=np.int64)
     counts = {d: np.zeros(count, dtype=np.int64) for d in track_degrees}
-    for j, word in enumerate(draw_words(table, n_edges, count, gen)):
-        parts = Counter(compress(word, word))  # the non-zero entries only
-        parts[0] = word.count(0)
-        sigma[j] = word[0] + 1
-        rest = word[1:]
-        max_other[j] = max(compress(rest, rest), default=0) + 1
-        sizes = branch_sizes_word(word)
+    for j in range(count):
+        tree = sample_tree(table, n_edges, gen)
+        profile = degree_profile(tree)
+        s = sigma[j] = tree.sigma_s
+        # the largest degree of a vertex other than s; r has degree 1
+        max_other[j] = max((d for d, c in profile.counts.items() if c > (d == s)), default=1)
+        sizes = branch_sizes(tree)
         max_branch[j] = max(sizes) if sizes else 0
         size2[j] = sizes.count(2)
         for d in track_degrees:
-            counts[d][j] = parts[d - 1] + (1 if d == 1 else 0)  # r has degree 1
+            counts[d][j] = profile.count(d)
     return SampleBatch(n_edges, sigma, counts, max_other, max_branch, size2)
 
 
@@ -339,8 +337,7 @@ def _star_convergence(spec, table, gen, emit_csv_dir):
     fractions = []
     for n_edges in spec.n_list:
         hits = sum(
-            left_ball(PlaneTree(tuple(word)), spec.radius).word == target
-            for word in draw_words(table, n_edges, spec.samples, gen)
+            left_ball(sample_tree(table, n_edges, gen), spec.radius).word == target for _ in range(spec.samples)
         )
         fractions.append(hits / spec.samples)
     worst_drop = max(

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .weights import LOG_ZERO, WeightSequence, _shift_index
+from .weights import LOG_ZERO, WeightSequence
 
 DEFAULT_N_MAX_CAP = 1500
 
@@ -187,7 +187,7 @@ class ZTable:
             raise ValueError(f"need 0 <= bound < n_max = {self.n_max}, got {bound}")
         if bound == 0:
             return np.ones((0, 1), dtype=bool)
-        _, log_c = _shift_index(self.log_w, eps)
+        _, log_c = self.ws.shift_index(eps, self.n_max)
         rows = self.log_table[1 : bound + 1]
         rhs = np.logaddexp(math.log(eps) + rows[:, 1 : bound + 2], np.arange(1, bound + 1)[:, None] * log_c)
         return rows[:, : bound + 1] <= rhs + 1e-12 * np.maximum(1.0, np.abs(rhs))

@@ -3,7 +3,8 @@
 A tree is drawn in two stages: first a weight-proportional composition
 (d_1, ..., d_N) with sum N-1 is sampled sequentially against the Z-table,
 P(d_1 = d) = w_{d+1} Z(N-1, n-d) / Z(N, n); then the unique cyclic rotation
-that forms a valid outdegree word is applied.  Every tree corresponds to
+that forms a valid outdegree word is applied (harness.sample_tree chains
+the two).  Every tree corresponds to
 exactly N compositions of equal weight (its rotations), so the rotated
 sample is distributed exactly as the tree measure.
 
@@ -30,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .partition import ZTable
-from .trees import PlaneTree, _nonleaf_positions
+from .trees import _nonleaf_positions
 
 RNG_ALGORITHM = "philox4x64"  # counter-based; (seed, stream) is the key
 SAMPLER_ALGORITHM = "zero-run-search"  # the map from uniforms to compositions
@@ -145,8 +146,3 @@ def rotate_word(word: Sequence[int]) -> list[int]:
         acc += word[p]
     return list(word[cut:]) + list(word[:cut])
 
-
-def sample_tree(table: ZTable, n_edges: int, rng: np.random.Generator) -> PlaneTree:
-    """One exact draw from the N-edge tree measure."""
-    comp = sample_composition(table, n_edges, n_edges - 1, rng)
-    return PlaneTree(tuple(rotate_word(comp)))

@@ -8,9 +8,10 @@ condition: every proper prefix sum of (outdeg - 1) stays >= 0 and the full
 sum is -1.  The empty word is allowed as the degenerate radius-0 ball
 consisting of r alone.
 
-A condensed word is mostly leaves: l << N non-zero entries.  Validation,
-the degree profile and the branch sizes cost one C-level scan of the word
-plus O(l) Python steps over the non-zero entries and the runs between them.
+A condensed word is mostly leaves: l << N non-zero entries.  Validation
+finds their positions by one C-level scan of the word and keeps them, and
+the degree profile and the branch sizes reuse them: O(l) Python steps over
+the non-zero entries and the runs between them, with no second scan.
 
 The local topology is compared through left balls: the radius-R left ball
 keeps, top-down from s, only vertices at distance <= R from r, and at most
@@ -23,30 +24,34 @@ converge to the infinite star.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress
 from typing import Callable
 
 
-def _nonleaf_positions(word) -> list[int]:
+def _nonleaf_positions(word) -> tuple[int, ...]:
     """Positions of the non-zero entries of word, by one C-level scan."""
-    return list(compress(range(len(word)), word))
+    return tuple(compress(range(len(word)), word))
 
 
 @dataclass(frozen=True)
 class PlaneTree:
     word: tuple[int, ...]
+    # the non-leaf positions that validation finds, for the per-tree statistics
+    _nonleaf: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         word = tuple(self.word)
         object.__setattr__(self, "word", word)
+        nonleaf = _nonleaf_positions(word)
+        object.__setattr__(self, "_nonleaf", nonleaf)
         if not word:
             return  # degenerate: just the root r
         # The prefix sum of (d - 1) falls by one per leaf: its low points are
         # acc - p just before each non-leaf p, and total - (N - 1) at slot N-2.
         acc = 0
-        for p in _nonleaf_positions(word):
+        for p in nonleaf:
             if acc < p:
                 raise ValueError("invalid outdegree word: prefix closes early")
             if word[p] < 0:
@@ -110,37 +115,33 @@ class DegreeProfile:
 
 def degree_profile(t: PlaneTree) -> DegreeProfile:
     """Degree counts X_i.  Satisfies sum X_i = N+1 and sum i*X_i = 2N."""
-    word = t.word
-    counts = {d + 1: c for d, c in Counter(compress(word, word)).items()}  # the non-leaf vertices
-    counts[1] = word.count(0) + 1  # the leaves and the root r
+    word, nonleaf = t.word, t._nonleaf
+    counts = {d + 1: c for d, c in Counter(map(word.__getitem__, nonleaf)).items()}  # the non-leaf vertices
+    counts[1] = len(word) - len(nonleaf) + 1  # the leaves and the root r
     return DegreeProfile(counts)
 
 
-def branch_sizes_word(word: tuple[int, ...]) -> list[int]:
-    """Vertex counts of the subtrees hanging below s, left to right.
+def branch_sizes(t: PlaneTree) -> list[int]:
+    """Vertex counts of the sigma(s)-1 branches below s, left to right;
+    they sum to N-1.
 
     The prefix sum S of word[0] and then (d - 1) falls by one per leaf, and
     the k-th branch closes where S first reaches word[0] - k.  So a run of
     leaves that takes S to a new low closes one branch that began after the
     last close, and then one leaf branch per further step down.
     """
+    word, nonleaf = t.word, t._nonleaf
     if not word or not word[0]:
         return []
-    nonleaf = _nonleaf_positions(word)
     sizes: list[int] = []
     low, last = word[0], 0  # the lowest S so far, and where the last branch closed
-    for p, acc in zip(nonleaf[1:] + [len(word)], accumulate(map(word.__getitem__, nonleaf))):
+    for p, acc in zip(nonleaf[1:] + (len(word),), accumulate(map(word.__getitem__, nonleaf))):
         level = acc - p + 1  # S at p - 1, where the run of leaves before p ends
         if level < low:
             sizes.append(p - low + level - last)  # closes where S first reaches low - 1
             sizes += [1] * (low - 1 - level)
             low, last = level, p - 1
     return sizes
-
-
-def branch_sizes(t: PlaneTree) -> list[int]:
-    """Sizes of the sigma(s)-1 branches at s; they sum to N-1."""
-    return branch_sizes_word(t.word)
 
 
 def _pruned_word(word: tuple[int, ...], keep: Callable[[int, int, int], int]) -> tuple[int, ...]:

@@ -36,19 +36,6 @@ class WeightDecayError(ValueError):
     """Weight ratios never fall below the requested epsilon on the checked range."""
 
 
-def _shift_index(log_w: np.ndarray, eps: float) -> tuple[int, float]:
-    """WeightSequence.shift_index on log_w[d] = log w_{d+1}, d = 0..d_max."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    d_max = len(log_w) - 1
-    with np.errstate(invalid="ignore"):  # -inf - -inf where weights vanish
-        (big,) = np.nonzero(log_w[:-1] - log_w[1:] >= math.log(eps))
-    a_eps = int(big[-1]) + 2 if big.size else 1  # one past the last failing i = big[-1] + 1
-    if a_eps > d_max:
-        raise WeightDecayError(f"no index below {d_max} with all later ratios w_i/w_(i+1) < {eps}")
-    return a_eps, float(np.logaddexp.reduce(log_w[: a_eps + 1]))
-
-
 def log_factorial(n: int) -> float:
     """log(n!) by cumulative summation of log(k).
 
@@ -157,7 +144,15 @@ class WeightSequence:
         """(A_eps, log C_eps): least A with w_i/w_{i+1} < eps for every
         i = A..d_max, and the log of C_eps = sum_{i<=A} w_{i+1}; a
         WeightDecayError when no such A <= d_max exists."""
-        return _shift_index(self.log_weights_upto(d_max), eps)
+        if eps <= 0:
+            raise ValueError("eps must be positive")
+        log_w = self.log_weights_upto(d_max)  # log_w[d] = log w_{d+1}
+        with np.errstate(invalid="ignore"):  # -inf - -inf where weights vanish
+            (big,) = np.nonzero(log_w[:-1] - log_w[1:] >= math.log(eps))
+        a_eps = int(big[-1]) + 2 if big.size else 1  # one past the last failing i = big[-1] + 1
+        if a_eps > d_max:
+            raise WeightDecayError(f"no index below {d_max} with all later ratios w_i/w_(i+1) < {eps}")
+        return a_eps, float(np.logaddexp.reduce(log_w[: a_eps + 1]))
 
     # -- configuration round trip ------------------------------------------
 

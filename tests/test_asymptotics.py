@@ -42,6 +42,13 @@ def test_scale_values():
         degree_count_scale(0.5, 100, 3)
 
 
+def test_scale_rejects_sizes_below_one():
+    """N^(1 - i alpha) would be complex below 0 and 0 at N = 0."""
+    for n in (-5, 0):
+        with pytest.raises(ValueError, match=f"n_edges must be >= 1, got {n}"):
+            degree_count_scale(0.5, n, 1)
+
+
 def test_center_first_order_values():
     assert center_first_order(0.5, 10**4, 1) == pytest.approx(99.5, rel=1e-12)
     assert center_first_order(1 / 3, 729, 1) == pytest.approx(81 * (1 - 2 / 27), rel=1e-10)

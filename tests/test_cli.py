@@ -286,6 +286,15 @@ def test_predict_rejects_non_finite_alpha(capsys):
         assert err.startswith("sgtree: error: alpha must be a finite number > 0") and err.count("\n") == 1
 
 
+def test_predict_bad_sizes_are_one_line_errors(capsys):
+    """A size below 1 is named, and a center solve that runs out of steps is
+    bad input like any other unsolved center: exit 2, one stderr line."""
+    for n, message in (("0", "n_edges must be >= 1, got 0"), ("1000", "did not converge in 100 steps")):
+        assert main(["predict", "--alpha", "0.16", "--n", n]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sgtree: error: ") and message in err and err.count("\n") == 1
+
+
 def test_oracle_check_command(capsys):
     assert main(["oracle-check", "--weights", '{"family": "lambda_factorial", "lam": "1"}', "--n", "6"]) == 0
     payload = json.loads(capsys.readouterr().out)

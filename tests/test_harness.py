@@ -136,6 +136,38 @@ def test_runner_mismatched_family_rejected(monkeypatch):
         ExperimentSpec(GAUSSIAN_FLUCTUATIONS, {"family": "factorial_alpha", "alpha": 0.15}, (700,))
 
 
+def test_gaussian_spec_rejects_an_unsolved_center():
+    """At alpha = 0.16, N = 1000 damped Newton runs out of steps; that is the
+    same error as a center outside the box."""
+    with pytest.raises(BoundaryHitError, match="did not converge in 100 steps; increase n_edges"):
+        ExperimentSpec(GAUSSIAN_FLUCTUATIONS, {"family": "factorial_alpha", "alpha": 0.16}, (1000,))
+
+
+def test_every_draw_goes_through_the_harness_names(monkeypatch):
+    """collect_samples and star_convergence draw each tree by one call each to
+    harness.sample_composition and harness.rotate_word, the names a tracer
+    wraps in place."""
+    calls = {"sample_composition": 0, "rotate_word": 0}
+
+    def counting(name):
+        fn = getattr(harness, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counting(name))
+    table = build_ztable(factorial_alpha_weights(0.5), 40)
+    collect_samples(table, 40, 7, RandomSource(1).generator())
+    assert calls == {"sample_composition": 7, "rotate_word": 7}
+    spec = ExperimentSpec(STAR_CONVERGENCE, {"family": "factorial_alpha", "alpha": 0.5}, (10, 20), samples=5)
+    run_experiment(spec)
+    assert calls == {"sample_composition": 17, "rotate_word": 17}
+
+
 def test_identities_at_one_edge_runs():
     """At N = 1 the sweep checks no shift inequality, so no A_eps is asked for."""
     report = run_experiment(ExperimentSpec(IDENTITIES, {"family": "factorial_alpha", "alpha": 0.5}, (1,)))

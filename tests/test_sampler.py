@@ -19,7 +19,6 @@ from sgtree import (
     tv_distance,
     uniform_weights,
 )
-from sgtree.harness import draw_words
 
 
 def test_random_source_reproducible():
@@ -186,7 +185,8 @@ def test_determinism_same_seed_same_trees():
     table = build_ztable(lambda_factorial_weights(2), 30)
 
     def words(stream):
-        return list(draw_words(table, 30, 20, RandomSource(5, stream).generator()))
+        gen = RandomSource(5, stream).generator()
+        return [sample_tree(table, 30, gen).word for _ in range(20)]
 
     first = words(7)
     assert first == words(7)
