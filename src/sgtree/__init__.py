@@ -41,7 +41,6 @@ from .sampler import (
     RNG_ALGORITHM,
     SAMPLER_ALGORITHM,
     RandomSource,
-    rotate_word,
     sample_composition,
 )
 from .trees import (
@@ -53,6 +52,7 @@ from .trees import (
     is_left_subtree,
     left_ball,
     path_tree,
+    rotate_word,
     star_left_ball,
     star_tree,
     tree_distance,

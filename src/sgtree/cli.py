@@ -118,6 +118,12 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = ExperimentSpec.from_json(fh.read())
+    _check_writable(args.out)
+    csv_dir = args.emit_csv
+    while csv_dir and not os.path.exists(csv_dir):  # the run makes the missing part
+        csv_dir = os.path.dirname(csv_dir)
+    if csv_dir and not os.path.isdir(csv_dir):
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), csv_dir)
     report = run_experiment(spec, emit_csv_dir=args.emit_csv)
     text = report.to_json()
     if args.out:

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import asymptotics
 from .partition import ZTable, build_ztable, log_z_n, worst_exact_sum_residual
-from .sampler import RNG_ALGORITHM, SAMPLER_ALGORITHM, RandomSource, rotate_word, sample_composition
-from .trees import PlaneTree, branch_sizes, degree_profile, left_ball, star_left_ball
+from .sampler import RNG_ALGORITHM, SAMPLER_ALGORITHM, RandomSource, sample_composition
+from .trees import PlaneTree, branch_sizes, degree_profile, left_ball, rotate_word, star_left_ball
 from .weights import WeightSequence
 
 STAR_CONVERGENCE = "star_convergence"
@@ -225,7 +225,7 @@ def sample_tree(table: ZTable, n_edges: int, rng: np.random.Generator) -> PlaneT
     the table, then its cycle-lemma rotation.  Every tree the harness and
     the CLI draw comes from here, through this module's names for the two
     steps, so wrapping those names sees every draw."""
-    return PlaneTree(tuple(rotate_word(sample_composition(table, n_edges, n_edges - 1, rng))))
+    return PlaneTree(rotate_word(sample_composition(table, n_edges, n_edges - 1, rng)))
 
 
 def collect_samples(

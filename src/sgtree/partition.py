@@ -111,7 +111,7 @@ class ZTable:
     """Log-domain table of Z(N, n) for 0 <= N, n <= n_max.
 
     The float table is the whole state: n_max is its side less one and
-    log_w follows from the weights.  The sampler's scalar loop reads
+    log_w is row 1, Z(1, n) = w_{n+1}.  The sampler's scalar loop reads
     row_views (per-row memoryviews sharing the table's memory, so indexing
     yields a Python float without a copy) and log_w_list.  Nothing is
     assigned after construction.
@@ -121,7 +121,7 @@ class ZTable:
         self.ws = ws
         self.log_table = log_table
         self.n_max = log_table.shape[0] - 1
-        self.log_w = ws.log_weights_upto(self.n_max)  # log_w[d] = log w_{d+1}
+        self.log_w = log_table[1]  # log_w[d] = log w_{d+1}, a view
         self.row_views = [memoryview(row) for row in log_table]
         self.log_w_list: list[float] = self.log_w.tolist()
 
@@ -274,7 +274,9 @@ def build_ztable(ws: WeightSequence, n_max: int, allow_large: bool = False) -> Z
     """Row-by-row log-domain build; O(n_max^3) scalar work, vectorized.
 
     The full table is retained because sequential sampling consults every
-    row.  Sizes beyond the desk-scale default require allow_large.
+    row.  Row 1 is the log weights themselves: convolving row 0 with them
+    leaves one finite term per entry, which the kernel returns bit for bit.
+    Sizes beyond the desk-scale default require allow_large.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -283,13 +285,13 @@ def build_ztable(ws: WeightSequence, n_max: int, allow_large: bool = False) -> Z
             f"n_max={n_max} exceeds the default cap {DEFAULT_N_MAX_CAP}; "
             "pass allow_large to override"
         )
-    w = n_max + 1
-    table = ZTable(ws, np.full((w, w), -np.inf))
-    log_table = table.log_table
+    log_table = np.empty((n_max + 1, n_max + 1))
+    log_table[0] = -np.inf
     log_table[0, 0] = 0.0
-    for row in range(1, w):
-        log_table[row] = _log_conv_row(log_table[row - 1], table.log_w)
-    return table
+    log_table[1] = ws.log_weights_upto(n_max)
+    for row in range(2, n_max + 1):
+        log_table[row] = _log_conv_row(log_table[row - 1], log_table[1])
+    return ZTable(ws, log_table)
 
 
 # -- persistence ---------------------------------------------------------------
@@ -345,10 +347,9 @@ def load_ztable(path: str) -> ZTable:
             raise ValueError(f"{path}: truncated table payload")
     if not (log_table[0, 0] == 0.0 and np.all(log_table[0, 1:] == -np.inf)):
         raise ValueError(f"{path}: row 0 is not (0, -inf, ...)")
-    table = ZTable(ws, log_table)
-    if log_table[1].tobytes() != table.log_w.tobytes():
+    if log_table[1].tobytes() != ws.log_weights_upto(n_max).tobytes():
         raise ValueError(f"{path}: row 1 is not the log weights of {descriptor['weights']}")
-    return table
+    return ZTable(ws, log_table)
 
 
 def write_ztable_csv(table: ZTable, path: str) -> None:

@@ -4,9 +4,9 @@ A tree is drawn in two stages: first a weight-proportional composition
 (d_1, ..., d_N) with sum N-1 is sampled sequentially against the Z-table,
 P(d_1 = d) = w_{d+1} Z(N-1, n-d) / Z(N, n); then the unique cyclic rotation
 that forms a valid outdegree word is applied (harness.sample_tree chains
-the two).  Every tree corresponds to
-exactly N compositions of equal weight (its rotations), so the rotated
-sample is distributed exactly as the tree measure.
+the two, with trees.rotate_word).  Every tree corresponds to exactly N
+compositions of equal weight (its rotations), so the rotated sample is
+distributed exactly as the tree measure.
 
 The sequential draw alternates two steps from a state of i slots left and
 remaining sum n.  First the number J of leading zero slots is drawn with one
@@ -16,22 +16,19 @@ next part, conditioned to be non-zero, is drawn by scanning d in the fixed
 order 1, n, 2, n-1, ..., which reaches a small part in about 2d steps and a
 part near n in about 2(n-d).  With l non-zero parts a composition costs
 O(l log N) table reads plus the scans, and its runs of zeros go into the
-dense list it returns as C-level list repeats.  rotate_word finds its cut
-from the l non-zero positions after one C-level scan of the word.  So the
-Python work on a condensed tree (one giant part and a few small ones) is
-O(l), not N; only the C-level scans and copies still touch every slot.
+dense list it returns as C-level list repeats.  So the Python work on a
+condensed tree (one giant part and a few small ones) is O(l), not N; only
+the C-level list repeats still touch every slot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .partition import ZTable
-from .trees import _nonleaf_positions
 
 RNG_ALGORITHM = "philox4x64"  # counter-based; (seed, stream) is the key
 SAMPLER_ALGORITHM = "zero-run-search"  # the map from uniforms to compositions
@@ -128,21 +125,4 @@ def sample_composition(table: ZTable, n_slots: int, total: int, rng: np.random.G
     out += [0] * (i - 1)
     out.append(n)
     return out
-
-
-def rotate_word(word: Sequence[int]) -> list[int]:
-    """The unique cyclic rotation of a composition with sum len-1 that is a
-    valid outdegree word: start right after the first prefix-sum minimum of
-    (d_i - 1)."""
-    n = len(word)
-    if sum(word) != n - 1:
-        raise ValueError("composition must sum to length - 1")
-    # The partial sums fall by one per zero, so the first minimum sits just
-    # before a non-zero position p, where it is acc - p, or at the end (-1).
-    acc, s_min, cut = 0, 0, n
-    for p in _nonleaf_positions(word):
-        if acc - p < s_min:
-            s_min, cut = acc - p, p
-        acc += word[p]
-    return list(word[cut:]) + list(word[:cut])
 

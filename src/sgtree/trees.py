@@ -12,6 +12,8 @@ A condensed word is mostly leaves: l << N non-zero entries.  Validation
 finds their positions by one C-level scan of the word and keeps them, and
 the degree profile and the branch sizes reuse them: O(l) Python steps over
 the non-zero entries and the runs between them, with no second scan.
+rotate_word, the cycle-lemma rotation of a sampled composition, finds its
+cut from the same scan.
 
 The local topology is compared through left balls: the radius-R left ball
 keeps, top-down from s, only vertices at distance <= R from r, and at most
@@ -27,12 +29,29 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress
-from typing import Callable
+from typing import Callable, Sequence
 
 
 def _nonleaf_positions(word) -> tuple[int, ...]:
     """Positions of the non-zero entries of word, by one C-level scan."""
     return tuple(compress(range(len(word)), word))
+
+
+def rotate_word(word: Sequence[int]) -> list[int]:
+    """The unique cyclic rotation of a composition with sum len-1 that is a
+    valid outdegree word: start right after the first prefix-sum minimum of
+    (d_i - 1)."""
+    n = len(word)
+    if sum(word) != n - 1:
+        raise ValueError("composition must sum to length - 1")
+    # The partial sums fall by one per zero, so the first minimum sits just
+    # before a non-zero position p, where it is acc - p, or at the end (-1).
+    acc, s_min, cut = 0, 0, n
+    for p in _nonleaf_positions(word):
+        if acc - p < s_min:
+            s_min, cut = acc - p, p
+        acc += word[p]
+    return [*word[cut:], *word[:cut]]
 
 
 @dataclass(frozen=True)

@@ -29,25 +29,9 @@ CUSTOM = "custom"
 
 _EXPONENTS = {UNIFORM: 0.0, LAMBDA_FACTORIAL: 1.0}  # factorial_alpha's exponent is its alpha
 
-_LOG_FACTORIALS = [0.0]
-
 
 class WeightDecayError(ValueError):
     """Weight ratios never fall below the requested epsilon on the checked range."""
-
-
-def log_factorial(n: int) -> float:
-    """log(n!) by cumulative summation of log(k).
-
-    Deliberately not a lgamma call: the running sum is extended one term at
-    a time and cached, so every caller sees bit-identical values within and
-    across runs.
-    """
-    if n < 0:
-        raise ValueError(f"negative factorial argument: {n}")
-    while len(_LOG_FACTORIALS) <= n:
-        _LOG_FACTORIALS.append(_LOG_FACTORIALS[-1] + math.log(len(_LOG_FACTORIALS)))
-    return _LOG_FACTORIALS[n]
 
 
 def _fraction(value: Union[int, float, str, Fraction]) -> Fraction:
@@ -105,15 +89,21 @@ class WeightSequence:
 
     def log_weights_upto(self, d_max: int) -> np.ndarray:
         """Array lw with lw[d] = log w_{d+1} for d = 0..d_max: the exponent
-        times the cached log(d!), with w_2 pinned to lam for lambda_factorial;
-        a custom table is read as given and is zero past its end."""
+        times log(d!), with w_2 pinned to lam for lambda_factorial; a custom
+        table is read as given and is zero past its end.
+
+        log(d!) is the running sum of math.log(k), k = 1..d, added in order
+        by np.cumsum: not lgamma and not np.log, so a shorter call is a bit
+        for bit prefix of a longer one.  Nothing is kept between calls.
+        """
         if d_max < 0:
             raise ValueError(f"d_max must be >= 0, got {d_max}")
         if self.family == CUSTOM:
             known = [_log_fraction(w) for w in self.table[: d_max + 1]]
             return np.array(known + [LOG_ZERO] * (d_max + 1 - len(known)))
-        log_factorial(d_max)  # extends the cache through d_max
-        lw = self._exponent * np.array(_LOG_FACTORIALS[: d_max + 1])
+        log_fact = np.zeros(d_max + 1)
+        np.cumsum(np.fromiter(map(math.log, range(1, d_max + 1)), float, d_max), out=log_fact[1:])
+        lw = self._exponent * log_fact
         if d_max >= 1 and self.family == LAMBDA_FACTORIAL:
             lw[1] = _log_fraction(self.lam)
         return lw
@@ -128,12 +118,12 @@ class WeightSequence:
         """True when every weight is rational and exposable as a Fraction."""
         return self.family == CUSTOM or float(self._exponent).is_integer()
 
-    def exact_weight(self, n: int) -> Optional[Fraction]:
-        """w_n as an exact Fraction, or None for irrational families."""
+    def exact_weight(self, n: int) -> Fraction:
+        """w_n as an exact Fraction; rational weight families only."""
         if n < 1:
             raise ValueError(f"degree must be >= 1, got {n}")
         if not self.is_exact:
-            return None
+            raise ValueError(f"exact weights need a rational weight family, not {self.to_config()}")
         if self.family == CUSTOM:
             return self.table[n - 1] if n <= len(self.table) else Fraction(0)
         if n == 2 and self.family == LAMBDA_FACTORIAL:

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -85,7 +86,7 @@ def test_ztable_build_and_sample_round_trip(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert len(lines) == 25
     from sgtree import PlaneTree
 
@@ -255,7 +256,7 @@ def test_sample_seed_determinism(tmp_path):
     a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     assert main(args + ["--out", a]) == 0
     assert main(args + ["--out", b]) == 0
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_distance_command(tmp_path, capsys):
@@ -267,6 +268,16 @@ def test_distance_command(tmp_path, capsys):
     fb.write_text("1 0\n")
     assert main(["distance", str(fa), str(fb)]) == 0
     assert capsys.readouterr().out.strip() == "0"
+
+
+def test_distance_without_a_tree_is_one_line(tmp_path, capsys):
+    fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
+    fa.write_text("1 0\n")
+    fb.write_text("\n  \n")
+    assert main(["distance", str(fa), str(fb)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sgtree: error: both files must contain at least one tree\n"
 
 
 def test_predict_command(capsys):
@@ -334,6 +345,32 @@ def test_experiment_failing_exit_code(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     assert main(["experiment", "--spec", str(spec_path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "outputs, code",
+    [(["--out", "{d}/no_dir/r.json"], 2), (["--out", "{d}/adir"], 21),
+     (["--out", "{d}/r.json", "--emit-csv", "{d}/r.json"], 20),
+     (["--emit-csv", "{d}/keep.csv"], 20), (["--emit-csv", "{d}/keep.csv/sub/"], 20)],
+    ids=["out-missing-dir", "out-is-dir", "emit-csv-is-out", "emit-csv-is-file", "emit-csv-under-file"],
+)
+def test_experiment_checks_outputs_before_running(tmp_path, capsys, monkeypatch, outputs, code):
+    """An output that cannot be written, or an --emit-csv path that is or
+    lies under an existing file, is exit 2 before the experiment runs;
+    nothing is made and an existing file is left as it was."""
+    monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: pytest.fail("experiment ran"))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"experiment": "star_dominance", "weights": {"family": "factorial_alpha", "alpha": 1.5}, "n_list": [60]}))
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "keep.csv").write_bytes(b"keep")
+    (tmp_path / "r.json").write_bytes(b"keep")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["experiment", "--spec", str(spec_path)] + [a.format(d=tmp_path) for a in outputs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"sgtree: error: [Errno {code}] ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert list((tmp_path / "adir").iterdir()) == []
+    assert (tmp_path / "keep.csv").read_bytes() == (tmp_path / "r.json").read_bytes() == b"keep"
 
 
 @pytest.mark.parametrize("spec", [[], {"experiment": "identities", "n_list": [10]}])

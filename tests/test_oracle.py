@@ -126,6 +126,8 @@ def test_tv_distance_basic():
     assert tv_distance({(1, 1, 0): 3, (2, 0, 0): 2}, m) == pytest.approx(0.1)
     # disjoint support: a key the measure does not carry
     assert tv_distance({(0,): 5}, m) == 1.0
+    with pytest.raises(ValueError, match="empty"):
+        tv_distance({}, m)
 
 
 def test_zero_total_rejected():

@@ -212,6 +212,16 @@ def test_root_degree_pmf_examples(table_uniform_small, table_lam1_small):
     assert p[1] == pytest.approx(1.0, rel=1e-12)  # N=2: sigma(s)=2 always
 
 
+def test_root_degree_pmf_rejects_sizes_without_a_law(table_uniform_small):
+    with pytest.raises(ValueError, match="N >= 2"):
+        table_uniform_small.root_degree_pmf(1)
+    with pytest.raises(ValueError, match="outside table bound 12"):
+        table_uniform_small.root_degree_pmf(13)
+    # w_2 = 0 leaves every vertex an even outdegree, so no tree has an even edge count
+    with pytest.raises(ValueError, match="Z\\(4,3\\) = 0"):
+        build_ztable(custom_weights(["1", "0", "1"]), 6).root_degree_pmf(4)
+
+
 def test_root_degree_pmf_normalization(table_alpha05_small):
     for n in range(2, 61):
         total = table_alpha05_small.root_degree_pmf(n).sum()
@@ -265,6 +275,16 @@ def test_zero_weight_family_zero_entries():
     assert z[2][4] == 1  # both slots outdegree 2
 
 
+def test_log_w_is_row_1(tmp_path):
+    """log_w is a view of row 1, for a built table and for a loaded one."""
+    table = build_ztable(factorial_alpha_weights(1.5), 20)
+    path = str(tmp_path / "t.sgtz")
+    save_ztable(table, path)
+    for t in (table, load_ztable(path)):
+        assert np.shares_memory(t.log_w, t.log_table[1])
+        assert t.log_w.tobytes() == t.ws.log_weights_upto(20).tobytes()
+
+
 def test_save_load_round_trip(tmp_path):
     ws = lambda_factorial_weights(2)
     table = build_ztable(ws, 30)
@@ -316,6 +336,19 @@ def test_load_rejects_malformed_header(tmp_path, head):
     path = tmp_path / "h.sgtz"
     path.write_bytes(head)
     with pytest.raises(ValueError, match="h.sgtz"):
+        load_ztable(str(path))
+
+
+@pytest.mark.parametrize(
+    "head, message",
+    [(b"SGTY" + struct.pack("<BI", 1, len(_DESC)) + _DESC, "not a ztable container"),
+     (b"SGTZ" + struct.pack("<BI", 2, len(_DESC)) + _DESC, "unsupported version 2")],
+    ids=["wrong_magic", "version_2"],
+)
+def test_load_rejects_other_containers(tmp_path, head, message):
+    path = tmp_path / "h.sgtz"
+    path.write_bytes(head + build_ztable(uniform_weights(), 5).log_table.tobytes())
+    with pytest.raises(ValueError, match=f"h.sgtz: {message}"):
         load_ztable(str(path))
 
 
@@ -373,7 +406,8 @@ def test_csv_dump(tmp_path):
     from sgtree.partition import write_ztable_csv
 
     write_ztable_csv(table, path)
-    lines = open(path).read().strip().splitlines()
+    with open(path, encoding="ascii") as fh:
+        lines = fh.read().strip().splitlines()
     assert lines[0] == "N,n,logZ"
     assert len(lines) == 1 + 16
     parsed = np.full_like(table.log_table, np.nan)

@@ -33,6 +33,7 @@ def test_rotation_examples():
     assert rotate_word((0, 2, 0)) == [2, 0, 0]
     assert rotate_word((1, 1, 0)) == [1, 1, 0]  # already valid
     assert rotate_word((0, 0, 2)) == [2, 0, 0]
+    assert rotate_word([0, 0, 2]) == [2, 0, 0]  # a list for list input too
     with pytest.raises(ValueError):
         rotate_word((1, 1))  # wrong sum
 
@@ -77,6 +78,13 @@ def test_composition_distribution_lam1():
 def test_single_slot_composition():
     table = build_ztable(uniform_weights(), 5)
     assert sample_composition(table, 1, 4, RandomSource(0).generator()) == [4]
+
+
+@pytest.mark.parametrize("n_slots, total", [(0, 0), (6, 0), (1, -1), (1, 6)])
+def test_composition_outside_the_table_rejected(n_slots, total):
+    table = build_ztable(uniform_weights(), 5)
+    with pytest.raises(ValueError, match="outside table bound"):
+        sample_composition(table, n_slots, total, RandomSource(0).generator())
 
 
 def test_sample_tree_smallest():

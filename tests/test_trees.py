@@ -17,7 +17,7 @@ from sgtree import (
     star_tree,
     tree_distance,
 )
-from sgtree.sampler import rotate_word
+from sgtree.trees import rotate_word
 
 
 def _tree_words(max_size: int = 24):
@@ -49,6 +49,8 @@ def test_validation():
         PlaneTree((0, 1))  # prefix closes early
     with pytest.raises(ValueError):
         PlaneTree((2, -1, 0, 0))
+    with pytest.raises(ValueError, match="no vertex s"):
+        PlaneTree(()).sigma_s
 
 
 @given(_tree_words())

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sgtree import (
@@ -10,7 +11,7 @@ from sgtree import (
     lambda_factorial_weights,
     uniform_weights,
 )
-from sgtree.weights import LOG_ZERO, log_factorial
+from sgtree.weights import LOG_ZERO
 
 
 def test_multiplication_is_addition_with_absorbing_zero():
@@ -19,19 +20,21 @@ def test_multiplication_is_addition_with_absorbing_zero():
     assert LOG_ZERO + LOG_ZERO == LOG_ZERO
 
 
-def test_log_factorial_cumulative():
-    assert log_factorial(0) == 0.0
-    assert log_factorial(1) == 0.0
-    # against exact big-integer logs, loose enough for the running sum
+def test_log_factorials_are_the_running_sum():
+    """lam=1 weights are log(d!) for every d: the in-order running sum of
+    log k bit for bit, and within 1e-9 of the exact big-integer logs."""
+    running = [0.0]
+    for k in range(1, 20_001):
+        running.append(running[-1] + math.log(k))
+    ws = lambda_factorial_weights(1)
+    log_w = ws.log_weights_upto(20_000)
+    assert log_w.tobytes() == np.array(running).tobytes()
+    for d in (0, 1, 2, 5, 999):
+        assert ws.log_weights_upto(d).tobytes() == log_w[: d + 1].tobytes()
     for n in (5, 50, 500):
-        assert abs(log_factorial(n) - math.log(math.factorial(n))) < 1e-9
-    # deterministic across repeated calls
-    assert log_factorial(300) == log_factorial(300)
-
-
-def test_log_factorial_rejects_negative():
+        assert abs(log_w[n] - math.log(math.factorial(n))) < 1e-9
     with pytest.raises(ValueError):
-        log_factorial(-1)
+        ws.log_weights_upto(-1)
 
 
 def test_log_weight_examples():
@@ -52,6 +55,11 @@ def test_negative_d_max_rejected():
     for ws in families:
         with pytest.raises(ValueError, match=r"d_max must be >= 0, got -1"):
             ws.log_weights_upto(-1)
+
+
+def test_exact_weight_needs_rational_weights():
+    with pytest.raises(ValueError, match="rational weight family.*factorial_alpha.*0.5"):
+        factorial_alpha_weights(0.5).exact_weight(3)
 
 
 def test_degree_zero_rejected():
