@@ -20,7 +20,7 @@ def test_multiplication_is_addition_with_absorbing_zero():
     assert LOG_ZERO + LOG_ZERO == LOG_ZERO
 
 
-def test_log_factorials_are_the_running_sum():
+def test_log_factorial_cumulative():
     """lam=1 weights are log(d!) for every d: the in-order running sum of
     log k bit for bit, and within 1e-9 of the exact big-integer logs."""
     running = [0.0]
@@ -28,13 +28,17 @@ def test_log_factorials_are_the_running_sum():
         running.append(running[-1] + math.log(k))
     ws = lambda_factorial_weights(1)
     log_w = ws.log_weights_upto(20_000)
+    assert log_w[0] == 0.0 and log_w[1] == 0.0
     assert log_w.tobytes() == np.array(running).tobytes()
     for d in (0, 1, 2, 5, 999):
         assert ws.log_weights_upto(d).tobytes() == log_w[: d + 1].tobytes()
     for n in (5, 50, 500):
         assert abs(log_w[n] - math.log(math.factorial(n))) < 1e-9
+
+
+def test_log_factorial_rejects_negative():
     with pytest.raises(ValueError):
-        ws.log_weights_upto(-1)
+        lambda_factorial_weights(1).log_weights_upto(-1)
 
 
 def test_log_weight_examples():
