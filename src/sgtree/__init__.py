@@ -16,8 +16,7 @@ from .asymptotics import (
     gaussian_indices,
     predict,
     predict_log_zn,
-    profile_objective,
-    profile_objective_gradient,
+    profile,
     solve_centers,
 )
 from .harness import (

@@ -9,8 +9,7 @@ count of degree-(i+1) vertices lives on the scale
 diverges for i < 1/alpha (Gaussian fluctuations around a center found by
 maximizing a concave profile objective), and is Poisson with constant mean
 K!^alpha in the boundary case where 1/alpha is an integer.  Expansions of
-log Z_N are read off the weights, whose family and alpha fix the growth
-regime.
+log Z_N are read off the weights' growth regime.
 """
 
 from __future__ import annotations
@@ -21,12 +20,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .weights import FACTORIAL_ALPHA, LAMBDA_FACTORIAL, WeightSequence, factorial_alpha_weights
+from .weights import ALPHA_ABOVE_1, ALPHA_BELOW_1, LAMBDA_FAMILY, WeightSequence, factorial_alpha_weights
 
 _BOX_HALF_WIDTH = 0.5  # centers must lie within this fraction of their scales
 _INTEGER_TOL = 1e-9
 _CENTER_TOL = 1e-10  # max |gradient| at a solved center
 _MAX_NEWTON_STEPS = 100
+_MAX_CUTOFF = 170  # the largest K whose K! (in the scale K!^alpha) a float holds
 
 
 class BoundaryHitError(RuntimeError):
@@ -40,9 +40,12 @@ def reciprocal_is_integer(alpha: float) -> bool:
 
 
 def degree_cutoff(alpha: float) -> int:
-    """K = floor(1/alpha): the largest observable small-degree index."""
+    """K = floor(1/alpha): the largest observable small-degree index, at
+    most _MAX_CUTOFF."""
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be a finite number > 0, got {alpha}")
+    if 1.0 / alpha > _MAX_CUTOFF + 1 - _INTEGER_TOL:  # K > _MAX_CUTOFF, or 1/alpha = inf
+        raise ValueError(f"alpha must exceed 1/{_MAX_CUTOFF + 1} (K = floor(1/alpha) <= {_MAX_CUTOFF}), got {alpha}")
     return round(1.0 / alpha) if reciprocal_is_integer(alpha) else math.floor(1.0 / alpha)
 
 
@@ -72,7 +75,7 @@ def center_first_order(alpha: float, n_edges: int, i: int) -> float:
     return scale * (1.0 - (1.0 - i * alpha) * n_edges ** (-alpha))
 
 
-def _profile(alpha: float, n_edges: int, m: Sequence[float]) -> tuple[float, np.ndarray, np.ndarray]:
+def profile(alpha: float, n_edges: int, m: Sequence[float]) -> tuple[float, np.ndarray, np.ndarray]:
     """Value, gradient and Hessian of the log-weight of a degree profile m
     (m[i-1] counts degree-(i+1) vertices), with A = sum m_i, B = sum i m_i
     and j = 2..floor(1/alpha) however many coordinates are passed:
@@ -114,16 +117,6 @@ def _profile(alpha: float, n_edges: int, m: Sequence[float]) -> tuple[float, np.
     return value, grad, hess
 
 
-def profile_objective(alpha: float, n_edges: int, m: Sequence[float]) -> float:
-    """The profile objective at m (see _profile)."""
-    return _profile(alpha, n_edges, m)[0]
-
-
-def profile_objective_gradient(alpha: float, n_edges: int, m: Sequence[float]) -> np.ndarray:
-    """d/dm_i of the profile objective at m (see _profile)."""
-    return _profile(alpha, n_edges, m)[1]
-
-
 def solve_centers(alpha: float, n_edges: int) -> np.ndarray:
     """Stationary point of the profile objective over the Gaussian
     coordinates i < 1/alpha, inside the box [scale_i / 2, 3 scale_i / 2].
@@ -146,7 +139,7 @@ def solve_centers(alpha: float, n_edges: int) -> np.ndarray:
     lo, hi = (1.0 - _BOX_HALF_WIDTH) * scales, (1.0 + _BOX_HALF_WIDTH) * scales
 
     m = scales.copy()
-    _, g, h = _profile(alpha, n_edges, m)
+    _, g, h = profile(alpha, n_edges, m)
     for _ in range(_MAX_NEWTON_STEPS):
         if np.abs(g).max() < _CENTER_TOL:
             break
@@ -158,7 +151,7 @@ def solve_centers(alpha: float, n_edges: int) -> np.ndarray:
         for _ in range(40):
             trial = m + t * step
             if np.all(trial > 0):
-                _, g_trial, h_trial = _profile(alpha, n_edges, trial)
+                _, g_trial, h_trial = profile(alpha, n_edges, trial)
                 if np.abs(g_trial).max() < np.abs(g).max():
                     m, g, h = trial, g_trial, h_trial
                     break
@@ -181,21 +174,19 @@ def solve_centers(alpha: float, n_edges: int) -> np.ndarray:
 
 
 def predict_log_zn(ws: WeightSequence, n_edges: int) -> float:
-    """Closed-form log Z_N expansion (error terms dropped) in the growth
-    regime the weights fix; other weights (uniform, custom, alpha = 1) raise
-    ValueError:
+    """Closed-form log Z_N expansion (error terms dropped) in the weights'
+    growth regime; weights with none (uniform, custom) raise ValueError:
 
-      lambda_factorial:           lam + log((N-1)!)
+      lambda_factorial (alpha = 1 is lam = 1): lam + log((N-1)!)
       factorial_alpha, alpha < 1: alpha log((N-1)!) + N^(1-a) + (2^a - (1-a)/2) N^(1-2a)
       factorial_alpha, alpha > 1: alpha log((N-1)!)
     """
-    lg = math.lgamma(n_edges)
-    if ws.family == LAMBDA_FACTORIAL:
+    lg, a = math.lgamma(n_edges), ws.alpha
+    if ws.regime == LAMBDA_FAMILY:
         return float(ws.lam) + lg
-    a = ws.alpha
-    if ws.family == FACTORIAL_ALPHA and a < 1:
+    if ws.regime == ALPHA_BELOW_1:
         return a * lg + n_edges ** (1 - a) + (2**a - (1 - a) / 2) * n_edges ** (1 - 2 * a)
-    if ws.family == FACTORIAL_ALPHA and a > 1:
+    if ws.regime == ALPHA_ABOVE_1:
         return a * lg
     raise ValueError(f"no log Z_N expansion for {ws.to_config()}")
 
@@ -263,6 +254,6 @@ def predict(alpha: float, n_edges: int) -> AsymptoticPrediction:
         scales=scales,
         centers=tuple(float(c) for c in centers),
         poisson_mean=poisson_mean,
-        objective_max=profile_objective(alpha, n_edges, centers),
+        objective_max=profile(alpha, n_edges, centers)[0],
         log_zn=predict_log_zn(factorial_alpha_weights(alpha), n_edges),
     )

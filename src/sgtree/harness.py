@@ -15,6 +15,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TextIO
@@ -25,7 +26,7 @@ from . import asymptotics
 from .partition import ZTable, build_ztable, log_z_n, worst_exact_sum_residual
 from .sampler import RNG_ALGORITHM, SAMPLER_ALGORITHM, RandomSource, sample_composition
 from .trees import PlaneTree, branch_sizes, degree_profile, left_ball, rotate_word, star_left_ball
-from .weights import WeightSequence
+from .weights import ALPHA_ABOVE_1, ALPHA_BELOW_1, LAMBDA_FAMILY, WeightSequence
 
 STAR_CONVERGENCE = "star_convergence"
 POISSON_SURPLUS = "poisson_surplus"
@@ -105,14 +106,18 @@ class ExperimentSpec:
                     raise ValueError(f"{self.experiment} does not read {name}; only {reader} does")
         # validate early, and spell equal families alike ("lam": 2 and "2")
         ws = WeightSequence.from_config(self.weights)
-        if not kind.accepts(ws):
-            raise ValueError(f"{self.experiment} runs on {kind.families}")
+        if kind.regime not in (None, ws.regime):
+            raise ValueError(f"{self.experiment} runs on {kind.regime}")
         if self.exact_upto > 0 and not ws.is_exact:
             raise ValueError(f"exact_upto > 0 needs a rational weight family, not {self.weights}")
         if self.experiment == IDENTITIES and max(self.n_list) > 1:  # the shift inequality needs A_eps in the table
             ws.shift_index(min(self.eps_list), max(self.n_list))  # the least eps has the largest A_eps
         if self.experiment == GAUSSIAN_FLUCTUATIONS:
             asymptotics.predict(ws.alpha, max(self.n_list))  # the centers must solve at this N
+        if self.experiment == DEGREE_BOUNDS:
+            asymptotics.degree_cutoff(ws.alpha)  # K! must be a float
+        if self.experiment == POISSON_SURPLUS and not (ws.lam <= sys.float_info.max and float(ws.lam) > 0):
+            raise ValueError(f"poisson_surplus needs a lam that a float holds above 0, not {self.weights}")
         object.__setattr__(self, "weights", ws.to_config())
 
     def tolerance(self, name: str) -> float:
@@ -553,41 +558,35 @@ def _identities(spec, table, gen, emit_csv_dir):
 
 @dataclass(frozen=True)
 class _Kind:
-    """One experiment kind: its body, the weight families it runs on (as
-    text and as a test), its default tolerances, the spec fields only it
-    reads, whether it runs on more than one size, and whether it reads the
-    square table (a kind that does not gets table=None)."""
+    """One experiment kind: its body, the growth regime of the weights it
+    runs on (None: any weights), its default tolerances, the spec fields
+    only it reads, whether it runs on more than one size, and whether it
+    reads the square table (a kind that does not gets table=None)."""
 
     body: Callable
-    families: str
-    accepts: Callable[[WeightSequence], bool]
+    regime: Optional[str]
     tolerances: dict[str, float]
     own_fields: tuple[str, ...] = ()
     multi_size: bool = False
     reads_table: bool = True
 
 
-_ANY_FAMILY = ("any weight family", lambda ws: True)
-_ALPHA_BELOW_1 = ("factorial_alpha with alpha in (0, 1)", lambda ws: ws.family == "factorial_alpha" and 0 < ws.alpha < 1)
-_ALPHA_ABOVE_1 = ("factorial_alpha with alpha > 1", lambda ws: ws.family == "factorial_alpha" and ws.alpha > 1)
-
 _KINDS: dict[str, _Kind] = {
     STAR_CONVERGENCE: _Kind(
-        _star_convergence, *_ANY_FAMILY, {"min_final_fraction": 0.85, "trend_slack": 0.05}, ("radius",), multi_size=True
+        _star_convergence, None, {"min_final_fraction": 0.85, "trend_slack": 0.05}, ("radius",), multi_size=True
     ),
     POISSON_SURPLUS: _Kind(
-        _poisson_surplus, "the lambda_factorial family", lambda ws: ws.family == "lambda_factorial",
-        {"zn_rel_error": 0.01, "tv_poisson": 0.05, "min_branch_frequency": 0.95},
+        _poisson_surplus, LAMBDA_FAMILY, {"zn_rel_error": 0.01, "tv_poisson": 0.05, "min_branch_frequency": 0.95}
     ),
-    DEGREE_BOUNDS: _Kind(_degree_bounds, *_ALPHA_BELOW_1, {
+    DEGREE_BOUNDS: _Kind(_degree_bounds, ALPHA_BELOW_1, {
         "min_degree_bound_frequency": 0.99, "min_branch_bound_frequency": 0.99, "ratio_lo": 0.8,
         "ratio_hi": 1.2, "min_ratio_frequency": 0.95, "tv_poisson": 0.05,
     }),
-    GAUSSIAN_FLUCTUATIONS: _Kind(_gaussian_fluctuations, *_ALPHA_BELOW_1, {"ks": 0.03, "max_abs_corr": 0.05}),
+    GAUSSIAN_FLUCTUATIONS: _Kind(_gaussian_fluctuations, ALPHA_BELOW_1, {"ks": 0.03, "max_abs_corr": 0.05}),
     LOGZ_EXPANSION: _Kind(
-        _logz_expansion, *_ALPHA_BELOW_1, {"residual_coeff": 5.0, "coarse_lo": 0.5, "coarse_hi": 1.5},
+        _logz_expansion, ALPHA_BELOW_1, {"residual_coeff": 5.0, "coarse_lo": 0.5, "coarse_hi": 1.5},
         multi_size=True, reads_table=False,
     ),
-    STAR_DOMINANCE: _Kind(_star_dominance, *_ALPHA_ABOVE_1, {"zn_rel_error": 0.01, "min_star_frequency": 0.99}),
-    IDENTITIES: _Kind(_identities, *_ANY_FAMILY, {"max_sum_residual": 1e-9}, ("eps_list", "exact_upto")),
+    STAR_DOMINANCE: _Kind(_star_dominance, ALPHA_ABOVE_1, {"zn_rel_error": 0.01, "min_star_frequency": 0.99}),
+    IDENTITIES: _Kind(_identities, None, {"max_sum_residual": 1e-9}, ("eps_list", "exact_upto")),
 }

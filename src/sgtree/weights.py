@@ -4,9 +4,9 @@ A weight sequence assigns a nonnegative weight w_n to each vertex degree
 n >= 1.  The families of interest here grow superexponentially: the
 factorial powers w_n = ((n-1)!)^alpha and the variant with w_2 pinned to a
 parameter lam while every other weight stays at (n-1)!; uniform weights are
-the power alpha = 0.  Values are huge (w_n ~ n!^alpha), so the canonical
-representation is log w_n; families with rational weights also expose an
-exact Fraction view for cross-validation.
+the power alpha = 0, and alpha = 1 is spelled lam = 1.  Values are huge
+(w_n ~ n!^alpha), so the canonical representation is log w_n; families with
+rational weights also expose an exact Fraction view for cross-validation.
 A weight of zero has the log LOG_ZERO = -inf, which IEEE addition keeps
 absorbing in products.
 """
@@ -28,6 +28,11 @@ FACTORIAL_ALPHA = "factorial_alpha"
 CUSTOM = "custom"
 
 _EXPONENTS = {UNIFORM: 0.0, LAMBDA_FACTORIAL: 1.0}  # factorial_alpha's exponent is its alpha
+
+# growth regimes, worded as the experiments that need one name it
+ALPHA_BELOW_1 = "factorial_alpha with alpha in (0, 1)"
+LAMBDA_FAMILY = "the lambda_factorial family"
+ALPHA_ABOVE_1 = "factorial_alpha with alpha > 1"
 
 
 class WeightDecayError(ValueError):
@@ -73,6 +78,8 @@ class WeightSequence:
         elif self.family == FACTORIAL_ALPHA:
             if self.alpha is None or not 0 < self.alpha < math.inf:
                 raise ValueError(f"factorial_alpha requires a finite alpha > 0, got {self.alpha}")
+            if self.alpha == 1:
+                raise ValueError("factorial_alpha with alpha = 1 is spelled lambda_factorial with lam = 1")
         elif self.family == CUSTOM:
             if not self.table:
                 raise ValueError("custom family requires a weight table")
@@ -112,6 +119,15 @@ class WeightSequence:
     def _exponent(self) -> float:
         """a in w_n = ((n-1)!)^a, w_2 aside for lambda_factorial."""
         return _EXPONENTS.get(self.family, self.alpha)
+
+    @property
+    def regime(self) -> Optional[str]:
+        """The growth regime: ALPHA_BELOW_1, LAMBDA_FAMILY, ALPHA_ABOVE_1, or None (uniform, custom)."""
+        if self.family == LAMBDA_FACTORIAL:
+            return LAMBDA_FAMILY
+        if self.family == FACTORIAL_ALPHA:
+            return ALPHA_BELOW_1 if self.alpha < 1 else ALPHA_ABOVE_1
+        return None
 
     @property
     def is_exact(self) -> bool:
@@ -194,8 +210,9 @@ def lambda_factorial_weights(lam: Union[int, float, str, Fraction]) -> WeightSeq
 
 
 def factorial_alpha_weights(alpha: float) -> WeightSequence:
-    """w_n = ((n-1)!)^alpha with alpha > 0."""
-    return WeightSequence(FACTORIAL_ALPHA, alpha=float(alpha))
+    """w_n = ((n-1)!)^alpha with alpha > 0; alpha = 1 is lambda_factorial_weights(1)."""
+    alpha = float(alpha)
+    return lambda_factorial_weights(1) if alpha == 1 else WeightSequence(FACTORIAL_ALPHA, alpha=alpha)
 
 
 def custom_weights(weights: Sequence[Union[int, str, Fraction]]) -> WeightSequence:

@@ -28,8 +28,7 @@ from sgtree import (
     factorial_alpha_weights,
     lambda_factorial_weights,
     left_ball,
-    profile_objective,
-    profile_objective_gradient,
+    profile,
     run_experiment,
     sample_tree,
     solve_centers,
@@ -331,13 +330,13 @@ def test_c8_gradient_matches_finite_differences():
         scales = np.array([degree_count_scale(alpha, n, i) for i in range(1, k + 1)])
         for _ in range(50):
             m = scales * rng.uniform(0.5, 1.5, size=k)
-            g = profile_objective_gradient(alpha, n, m)
+            g = profile(alpha, n, m)[1]
             for i in range(k):
                 h = 1e-4 * m[i]
                 up, dn = m.copy(), m.copy()
                 up[i] += h
                 dn[i] -= h
-                fd = (profile_objective(alpha, n, up) - profile_objective(alpha, n, dn)) / (2 * h)
+                fd = (profile(alpha, n, up)[0] - profile(alpha, n, dn)[0]) / (2 * h)
                 worst = max(worst, abs(g[i] - fd) / max(1.0, abs(g[i])))
     _check("C8", "gradient_vs_central_differences", worst, "<=", 1e-6)
 

@@ -40,8 +40,7 @@ PUBLIC_NAMES = [
     "path_tree",
     "predict",
     "predict_log_zn",
-    "profile_objective",
-    "profile_objective_gradient",
+    "profile",
     "rotate_word",
     "run_experiment",
     "sample_composition",
@@ -94,6 +93,7 @@ WEIGHT_SEQUENCE_ATTRIBUTES = [
     "is_exact",
     "lam",
     "log_weights_upto",
+    "regime",
     "shift_index",
     "table",
     "to_config",
@@ -101,7 +101,7 @@ WEIGHT_SEQUENCE_ATTRIBUTES = [
 
 
 def test_weight_sequence_surface_pinned():
-    """Facts about a weight family (its values, exactness and shift index)
-    live on the weights; the growth exponent stays private."""
+    """Facts about a weight family (its values, exactness, growth regime and
+    shift index) live on the weights; the growth exponent stays private."""
     ws = sgtree.factorial_alpha_weights(0.5)
     assert sorted(name for name in dir(ws) if not name.startswith("_")) == WEIGHT_SEQUENCE_ATTRIBUTES

@@ -12,12 +12,11 @@ from sgtree import (
     lambda_factorial_weights,
     predict,
     predict_log_zn,
-    profile_objective,
-    profile_objective_gradient,
+    profile,
     solve_centers,
     uniform_weights,
 )
-from sgtree.asymptotics import _profile, degree_cutoff, gaussian_indices, reciprocal_is_integer
+from sgtree.asymptotics import degree_cutoff, gaussian_indices, reciprocal_is_integer
 
 
 def test_degree_cutoff():
@@ -32,6 +31,12 @@ def test_degree_cutoff():
     assert not reciprocal_is_integer(0.4)
     assert gaussian_indices(0.5) == [1]
     assert gaussian_indices(0.4) == [1, 2]
+    # 171! is past the largest float: K stops at 170, also where 1/alpha overflows
+    assert degree_cutoff(1 / 170) == 170
+    assert math.isfinite(degree_count_scale(1 / 170, 1000, 170))
+    for alpha in (1 / 171, 0.0058, 0.001, 1e-300, 1e-320):
+        with pytest.raises(ValueError, match=rf"alpha must exceed 1/171 .*, got {alpha}$"):
+            degree_cutoff(alpha)
 
 
 def test_scale_values():
@@ -72,11 +77,11 @@ def test_objective_plain_stationary_point():
 def test_objective_decreases_when_doubled():
     alpha, n = 0.5, 10**4
     m_hat = solve_centers(alpha, n)
-    base = profile_objective(alpha, n, m_hat)
+    base = profile(alpha, n, m_hat)[0]
     for i in range(len(m_hat)):
         doubled = m_hat.copy()
         doubled[i] *= 2
-        assert profile_objective(alpha, n, doubled) < base
+        assert profile(alpha, n, doubled)[0] < base
 
 
 def test_gradient_matches_finite_differences():
@@ -91,18 +96,17 @@ def test_gradient_matches_finite_differences():
         scales = np.array([degree_count_scale(alpha, n, i) for i in range(1, k + 1)])
         for _ in range(40):
             m = scales * rng.uniform(0.6, 1.4, size=k)
-            g = profile_objective_gradient(alpha, n, m)
-            hess = _profile(alpha, n, m)[2]
+            _, g, hess = profile(alpha, n, m)
             fd_hess = np.empty((k, k))
             for i in range(k):
                 h = 1e-4 * m[i]
                 up, dn = m.copy(), m.copy()
                 up[i] += h
                 dn[i] -= h
-                fd = (profile_objective(alpha, n, up) - profile_objective(alpha, n, dn)) / (2 * h)
+                fd = (profile(alpha, n, up)[0] - profile(alpha, n, dn)[0]) / (2 * h)
                 rel = abs(g[i] - fd) / max(1.0, abs(g[i]))
                 worst = max(worst, rel)
-                fd_g = profile_objective_gradient(alpha, n, up) - profile_objective_gradient(alpha, n, dn)
+                fd_g = profile(alpha, n, up)[1] - profile(alpha, n, dn)[1]
                 fd_hess[:, i] = fd_g / (2 * h)
             worst_hessian = max(worst_hessian, np.abs(hess - fd_hess).max() / np.abs(hess).max())
     assert worst < 1e-6
@@ -112,7 +116,7 @@ def test_gradient_matches_finite_differences():
 def test_solver_converges_interior():
     for alpha, n in [(0.5, 1000), (0.45, 1500), (0.4, 1000), (0.9, 10**4)]:
         m = solve_centers(alpha, n)
-        g = profile_objective_gradient(alpha, n, m)
+        g = profile(alpha, n, m)[1]
         assert np.abs(g).max() < 1e-10
         for i, idx in enumerate(gaussian_indices(alpha)):
             scale = degree_count_scale(alpha, n, idx)
@@ -128,9 +132,8 @@ def test_solver_boundary_hit_outside_box():
 
 def test_profile_overflow_is_value_error():
     """Where B^floor(1/alpha) overflows a float, the error names alpha, N and m."""
-    for fn in (profile_objective, profile_objective_gradient):
-        with pytest.raises(ValueError, match=r"alpha=0\.3, N=100, m=\[1e\+120\]"):
-            fn(0.3, 100, [1e120])
+    with pytest.raises(ValueError, match=r"alpha=0\.3, N=100, m=\[1e\+120\]"):
+        profile(0.3, 100, [1e120])
 
 
 def test_predict_newton_stall_raises_boundary_hit():
@@ -173,13 +176,14 @@ def test_center_agrees_with_first_order_at_stated_order():
 
 
 def test_predict_log_zn():
-    """The regime is read off the weights; weights outside the three
-    regimes have no expansion."""
+    """The regime is read off the weights; alpha = 1 is lam = 1, and
+    weights outside the three regimes have no expansion."""
     assert predict_log_zn(lambda_factorial_weights(1), 50) == pytest.approx(math.lgamma(50) + 1.0, rel=1e-14)
+    assert predict_log_zn(factorial_alpha_weights(1), 50) == predict_log_zn(lambda_factorial_weights(1), 50)
     expected = 0.6 * math.lgamma(1000) + 1000**0.4 + (2**0.6 - 0.2) * 1000**-0.2
     assert predict_log_zn(factorial_alpha_weights(0.6), 1000) == pytest.approx(expected, rel=1e-14)
     assert predict_log_zn(factorial_alpha_weights(2.0), 400) == pytest.approx(2 * math.lgamma(400), rel=1e-14)
-    for ws in (uniform_weights(), custom_weights(["1", "0", "1"]), factorial_alpha_weights(1)):
+    for ws in (uniform_weights(), custom_weights(["1", "0", "1"])):
         with pytest.raises(ValueError, match="no log Z_N expansion"):
             predict_log_zn(ws, 10)
 

@@ -6,8 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from sgtree import AsymptoticPrediction, factorial_alpha_weights, predict_log_zn
-from sgtree import cli
+from sgtree import (
+    AsymptoticPrediction,
+    build_ztable,
+    factorial_alpha_weights,
+    lambda_factorial_weights,
+    predict_log_zn,
+    save_ztable,
+    uniform_weights,
+)
+from sgtree import cli, harness
 from sgtree.cli import build_parser, main
 
 CLI_OPTIONS = [
@@ -99,6 +107,17 @@ def test_ztable_build_and_sample_round_trip(tmp_path, capsys):
         assert main(["sample", "--weights", weights, "--n", n, "--table", table_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("sgtree: error: table ") and err.count("\n") == 1
+
+
+def test_sample_alpha_one_weights_on_a_lam_one_table(tmp_path, capsys):
+    """alpha = 1 weights are the lam = 1 weights, so a lam = 1 table serves them."""
+    path = str(tmp_path / "lam1.sgtz")
+    save_ztable(build_ztable(lambda_factorial_weights(1), 10), path)
+    argv = ["sample", "--n", "10", "--count", "5", "--seed", "2", "--table", path, "--weights"]
+    assert main(argv + ['{"family": "factorial_alpha", "alpha": 1}']) == 0
+    words = capsys.readouterr().out
+    assert main(argv + ['{"family": "lambda_factorial", "lam": "1"}']) == 0
+    assert capsys.readouterr().out == words and words.count("\n") == 5
 
 
 def test_sample_missing_table_fails(tmp_path, capsys):
@@ -383,3 +402,77 @@ def test_experiment_bad_spec_is_one_line(tmp_path, capsys, spec):
     assert captured.out == ""
     assert captured.err.startswith("sgtree: error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+_U = '{{"family": "uniform"}}'
+_SPECS = {
+    "not_an_object": [],
+    "no_weights": {"experiment": "identities", "n_list": [10]},
+    "unknown_key": {"experiment": "identities", "weights": {"family": "uniform"}, "n_list": [1], "sample": 5},
+    "wrong_family": {"experiment": "poisson_surplus", "weights": {"family": "uniform"}, "n_list": [20]},
+    "no_shift_index": {"experiment": "identities", "weights": {"family": "uniform"}, "n_list": [20]},
+    "float_size": {"experiment": "identities", "weights": {"family": "uniform"}, "n_list": [12.7]},
+    "logz_allow_large": {"experiment": "logz_expansion", "weights": {"family": "factorial_alpha", "alpha": 0.5},
+                         "n_list": [50], "allow_large": True},
+    "unsolved_center": {"experiment": "gaussian_fluctuations", "weights": {"family": "factorial_alpha", "alpha": 0.15},
+                        "n_list": [700]},
+    "gaussian_tiny_alpha": {"experiment": "gaussian_fluctuations",
+                            "weights": {"family": "factorial_alpha", "alpha": 0.001}, "n_list": [50]},
+    "degree_bounds_tiny_alpha": {"experiment": "degree_bounds",
+                                 "weights": {"family": "factorial_alpha", "alpha": 0.001}, "n_list": [50]},
+    "lam_above_float": {"experiment": "poisson_surplus", "weights": {"family": "lambda_factorial", "lam": "1e400"},
+                        "n_list": [50]},
+    "lam_below_float": {"experiment": "poisson_surplus", "weights": {"family": "lambda_factorial", "lam": "1e-400"},
+                        "n_list": [50]},
+}
+_REJECTED = {
+    **{f"spec-{name}": ["experiment", "--spec", f"{{d}}/{name}.json"] for name in _SPECS},
+    "spec-missing": ["experiment", "--spec", "{d}/missing.json"],
+    "experiment-out-missing-dir": ["experiment", "--spec", "{d}/ok.json", "--out", "{d}/no_dir/r.json"],
+    "experiment-emit-csv-under-file": ["experiment", "--spec", "{d}/ok.json", "--emit-csv", "{d}/afile/sub"],
+    "weights-unknown-family": ["sample", "--weights", '{{"family": "wat"}}', "--n", "5"],
+    "weights-not-json": ["sample", "--weights", "{{", "--n", "5"],
+    "weights-zero-denominator": ["sample", "--weights", '{{"family": "lambda_factorial", "lam": "1/0"}}', "--n", "5"],
+    "table-malformed": ["sample", "--weights", _U, "--n", "5", "--table", "{d}/bad.sgtz"],
+    "table-missing": ["sample", "--weights", _U, "--n", "5", "--table", "{d}/missing.sgtz"],
+    "table-other-family": ["sample", "--weights", '{{"family": "lambda_factorial", "lam": "2"}}', "--n", "5",
+                           "--table", "{d}/u5.sgtz"],
+    "table-below-n": ["sample", "--weights", _U, "--n", "6", "--table", "{d}/u5.sgtz"],
+    "table-above-cap": ["ztable", "--weights", _U, "--nmax", "1501", "--out", "{d}/big.sgtz"],
+    "count-below-1": ["sample", "--weights", _U, "--n", "5", "--count", "0"],
+    "n-below-1": ["sample", "--weights", _U, "--n", "0"],
+    "sample-out-missing-dir": ["sample", "--weights", _U, "--n", "5", "--out", "{d}/no_dir/t.txt"],
+    "ztable-out-is-dir": ["ztable", "--weights", _U, "--nmax", "5", "--out", "{d}"],
+    "distance-missing": ["distance", "{d}/missing_a.txt", "{d}/missing_b.txt"],
+    "distance-no-tree": ["distance", "{d}/empty.txt", "{d}/empty.txt"],
+    "predict-unsolved": ["predict", "--alpha", "0.16", "--n", "1000"],
+    "predict-outside-box": ["predict", "--alpha", "0.3", "--n", "5"],
+    "predict-n-below-1": ["predict", "--alpha", "0.5", "--n", "0"],
+    "predict-alpha-nan": ["predict", "--alpha", "nan", "--n", "400"],
+    **{f"predict-alpha-{a}": ["predict", "--alpha", a, "--n", "1000"] for a in ("0.001", "0.0058", "1e-300")},
+}
+
+
+@pytest.mark.parametrize("argv", list(_REJECTED.values()), ids=list(_REJECTED))
+def test_rejected_input_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch, argv):
+    """README's contract for every input it lists as rejected: exit code 2,
+    one stderr line `sgtree: error: ...`, no traceback and no table built.
+    Exit code 1 stays reserved for a failed check."""
+    save_ztable(build_ztable(uniform_weights(), 5), str(tmp_path / "u5.sgtz"))
+    (tmp_path / "bad.sgtz").write_bytes(b"SGTZ\x01")
+    (tmp_path / "afile").write_text("x")
+    (tmp_path / "empty.txt").write_text("\n")
+    ok = {"experiment": "star_dominance", "weights": {"family": "factorial_alpha", "alpha": 1.5}, "n_list": [60]}
+    for name, spec in dict(_SPECS, ok=ok).items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+
+    def no_table(*args, **kwargs):
+        build_ztable(*args, **kwargs)  # the size cap rejects before building
+        pytest.fail("a table was built for rejected input")
+
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "build_ztable", no_table)
+    assert main([a.format(d=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sgtree: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

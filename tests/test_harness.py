@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from sgtree import (
     BoundaryHitError,
     ExperimentSpec,
     WeightDecayError,
+    WeightSequence,
     build_ztable,
     factorial_alpha_weights,
     lambda_factorial_weights,
+    predict_log_zn,
     run_experiment,
     uniform_weights,
 )
@@ -28,6 +31,7 @@ from sgtree.harness import (
     collect_samples,
 )
 from sgtree.sampler import RandomSource
+from sgtree.weights import ALPHA_ABOVE_1, ALPHA_BELOW_1, LAMBDA_FAMILY
 
 
 LAM1 = {"family": "lambda_factorial", "lam": "1"}  # identities-ready: A_0.1 = 11 <= 20
@@ -134,6 +138,54 @@ def test_runner_mismatched_family_rejected(monkeypatch):
     # the centers do not solve at alpha = 0.15, N = 700
     with pytest.raises(BoundaryHitError, match="increase n_edges"):
         ExperimentSpec(GAUSSIAN_FLUCTUATIONS, {"family": "factorial_alpha", "alpha": 0.15}, (700,))
+
+
+_ANY = [STAR_CONVERGENCE, IDENTITIES]
+
+
+@pytest.mark.parametrize(
+    "weights, regime, kinds",
+    [
+        ({"family": "uniform"}, None, _ANY),
+        ({"family": "custom", "weights": [1, 0, 1]}, None, _ANY),
+        ({"family": "lambda_factorial", "lam": 1}, LAMBDA_FAMILY, _ANY + [POISSON_SURPLUS]),
+        ({"family": "lambda_factorial", "lam": 2}, LAMBDA_FAMILY, _ANY + [POISSON_SURPLUS]),
+        ({"family": "factorial_alpha", "alpha": 0.5}, ALPHA_BELOW_1,
+         _ANY + [DEGREE_BOUNDS, GAUSSIAN_FLUCTUATIONS, LOGZ_EXPANSION]),
+        ({"family": "factorial_alpha", "alpha": 1}, LAMBDA_FAMILY, _ANY + [POISSON_SURPLUS]),
+        ({"family": "factorial_alpha", "alpha": 1.5}, ALPHA_ABOVE_1, _ANY + [STAR_DOMINANCE]),
+    ],
+    ids=["uniform", "custom", "lam1", "lam2", "alpha0.5", "alpha1", "alpha1.5"],
+)
+def test_growth_regime_decides_predictions_and_kinds(weights, regime, kinds):
+    """One fact on the weights: the regime, whether log Z_N has an
+    expansion, and which experiment kinds take a spec on them."""
+    ws = WeightSequence.from_config(weights)
+    assert ws.regime == regime
+    if regime is None:
+        with pytest.raises(ValueError, match="no log Z_N expansion"):
+            predict_log_zn(ws, 600)
+    else:
+        assert math.isfinite(predict_log_zn(ws, 600))
+    accepted = []
+    for kind in harness._KINDS:
+        try:
+            ExperimentSpec(kind, weights, (600,))
+        except WeightDecayError:  # uniform and [1, 0, 1] have no shift index for identities
+            pass
+        except ValueError as exc:
+            assert str(exc).startswith(f"{kind} runs on ")
+            continue
+        accepted.append(kind)
+    assert sorted(accepted) == sorted(kinds)
+
+
+def test_alpha_one_runs_as_lam_one():
+    """A poisson_surplus spec on alpha = 1 runs, and echoes the lam = 1 spelling."""
+    spec = ExperimentSpec(POISSON_SURPLUS, {"family": "factorial_alpha", "alpha": 1}, (20,), samples=50)
+    report = run_experiment(spec)
+    assert report.to_dict()["spec"]["weights"] == {"family": "lambda_factorial", "lam": "1"}
+    assert report.stats == run_experiment(ExperimentSpec(POISSON_SURPLUS, LAM1, (20,), samples=50)).stats
 
 
 def test_gaussian_spec_rejects_an_unsolved_center():
@@ -331,6 +383,9 @@ def test_logz_expansion_runner():
     assert json.loads(report.to_json())["stats"] == report.stats  # plain JSON types only
     assert report.passed
     assert list(report.stats["residuals"]) == ["50", "100", "200"]
+    # the expansion reads no cutoff K, so an alpha below 1/171 runs
+    tiny = run_experiment(ExperimentSpec(LOGZ_EXPANSION, {"family": "factorial_alpha", "alpha": 0.001}, (50, 100)))
+    assert all(map(math.isfinite, tiny.stats["residuals"].values()))
 
 
 def test_logz_expansion_builds_no_table(monkeypatch):

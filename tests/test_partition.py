@@ -50,14 +50,6 @@ def test_known_small_values():
     assert exact_corner(lambda_factorial_weights(2), 4)[3][2] == 6 + 3 * 4
 
 
-def test_single_row_is_weights():
-    ws = factorial_alpha_weights(0.5)
-    t = build_ztable(ws, 8)
-    log_w = ws.log_weights_upto(8)
-    for n in range(0, 9):
-        assert t.log_table[1, n] == pytest.approx(log_w[n], rel=1e-14)
-
-
 def test_z_n_values(table_uniform_small):
     z = exact_corner(uniform_weights(), 3)
     assert z[1][0] == 1  # Z_1 = Z(1, 0): the single edge
@@ -276,13 +268,15 @@ def test_zero_weight_family_zero_entries():
 
 
 def test_log_w_is_row_1(tmp_path):
-    """log_w is a view of row 1, for a built table and for a loaded one."""
-    table = build_ztable(factorial_alpha_weights(1.5), 20)
-    path = str(tmp_path / "t.sgtz")
-    save_ztable(table, path)
-    for t in (table, load_ztable(path)):
-        assert np.shares_memory(t.log_w, t.log_table[1])
-        assert t.log_w.tobytes() == t.ws.log_weights_upto(20).tobytes()
+    """log_w is a view of row 1, the log weights bit for bit, for a built
+    table and for a loaded one."""
+    for ws, n_max in ((factorial_alpha_weights(0.5), 8), (factorial_alpha_weights(1.5), 20)):
+        table = build_ztable(ws, n_max)
+        path = str(tmp_path / "t.sgtz")
+        save_ztable(table, path)
+        for t in (table, load_ztable(path)):
+            assert np.shares_memory(t.log_w, t.log_table[1])
+            assert t.log_w.tobytes() == ws.log_weights_upto(n_max).tobytes()
 
 
 def test_save_load_round_trip(tmp_path):
@@ -393,6 +387,15 @@ def test_load_rejects_row_1_not_the_weights(tmp_path):
     log_table[1, 4] = np.nextafter(log_table[1, 4], np.inf)
     with pytest.raises(ValueError, match="row 1"):
         load_ztable(_sgtz_file(tmp_path, log_table.tobytes(), weights=lam2))
+
+
+def test_alpha_one_descriptor_loads_as_lam_one(tmp_path):
+    """Files whose descriptor spells alpha = 1 as factorial_alpha load as
+    the lam = 1 table they hold."""
+    lam1 = lambda_factorial_weights(1)
+    payload = build_ztable(lam1, 6).log_table.tobytes()
+    again = load_ztable(_sgtz_file(tmp_path, payload, n_max=6, weights={"family": "factorial_alpha", "alpha": 1.0}))
+    assert again.ws == lam1 and again.log_table.tobytes() == payload
 
 
 def test_exact_z_needs_rational_weights():

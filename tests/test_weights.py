@@ -81,12 +81,21 @@ def test_log_weight_deterministic():
 
 
 def test_lambda_family_matches_factorial_at_lam_one():
-    # alpha = 1 factorial powers coincide with the pinned family at lam = 1
-    fa = factorial_alpha_weights(1.0)
+    """alpha = 1 factorial powers are the pinned family at lam = 1, and have
+    that one spelling: the constructor and configs give the lam = 1
+    sequence, and a factorial_alpha sequence with alpha = 1 is rejected."""
     lf = lambda_factorial_weights(1)
-    assert fa.log_weights_upto(58).tolist() == lf.log_weights_upto(58).tolist()
+    for fa in (
+        factorial_alpha_weights(1),
+        factorial_alpha_weights(1.0),
+        WeightSequence.from_config({"family": "factorial_alpha", "alpha": 1}),
+        WeightSequence.from_config({"family": "factorial_alpha", "alpha": "1.0"}),
+    ):
+        assert fa == lf and fa.to_config() == {"family": "lambda_factorial", "lam": "1"}
     for n in range(1, 60):
-        assert fa.exact_weight(n) == lf.exact_weight(n)
+        assert lf.exact_weight(n) == math.factorial(n - 1)
+    with pytest.raises(ValueError, match="alpha = 1 is spelled lambda_factorial with lam = 1"):
+        WeightSequence("factorial_alpha", alpha=1.0)
 
 
 def test_exact_view_matches_log_view():
