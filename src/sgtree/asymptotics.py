@@ -27,6 +27,7 @@ _INTEGER_TOL = 1e-9
 _CENTER_TOL = 1e-10  # max |gradient| at a solved center
 _MAX_NEWTON_STEPS = 100
 _MAX_CUTOFF = 170  # the largest K whose K! (in the scale K!^alpha) a float holds
+_SHOWN_COORDINATES = 4  # coordinates of m an overflow error prints
 
 
 class BoundaryHitError(RuntimeError):
@@ -35,6 +36,10 @@ class BoundaryHitError(RuntimeError):
 
 
 def reciprocal_is_integer(alpha: float) -> bool:
+    """Whether 1/alpha is within _INTEGER_TOL of an integer; alpha must be a
+    finite number > 0 whose reciprocal a float holds."""
+    if not 0 < alpha < math.inf or 1.0 / alpha == math.inf:
+        raise ValueError(f"alpha must be a finite number > 0 with a finite 1/alpha, got {alpha}")
     recip = 1.0 / alpha
     return abs(recip - round(recip)) < _INTEGER_TOL
 
@@ -113,7 +118,9 @@ def profile(alpha: float, n_edges: int, m: Sequence[float]) -> tuple[float, np.n
             grad += (alpha * idx * b ** (j - 1) - a ** (j - 1)) / ((j - 1) * n ** (j - 1))
             hess += (pair * b ** (j - 2) - a ** (j - 2)) / n ** (j - 1)
     except OverflowError:
-        raise ValueError(f"profile overflows a float at alpha={alpha}, N={n_edges}, m={m.tolist()}") from None
+        shown = ", ".join(map(repr, m[:_SHOWN_COORDINATES].tolist()))
+        rest = f", ... {len(m) - _SHOWN_COORDINATES} more" if len(m) > _SHOWN_COORDINATES else ""
+        raise ValueError(f"profile overflows a float at alpha={alpha}, N={n_edges}, m=[{shown}{rest}]") from None
     return value, grad, hess
 
 

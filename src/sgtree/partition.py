@@ -10,14 +10,14 @@ The table is built row by row in the log domain; each row is a log-domain
 convolution of the previous row with the weight sequence, evaluated with a
 per-entry max shift so that entries thousands of log-units apart stay
 accurate.  The convolution runs in blocks of output entries that skip the
-structural zeros (the d > n padding and weights past a custom table's
-end), and keeps np.exp on its fast path: shifted values below -707.5 are
-taken out of the main call, those below -746 are the exact 0 np.exp gives
-there, and the rest are exponentiated on their own.  Row sums keep the full
-width, so numpy's pairwise summation groups the same terms and the table is
-bit for bit the per-entry log-sum-exp.  log_row computes one row without
-the table, by the power-of-series recurrence, in O(N^2) time and O(N)
-memory, and log_z_n reads log Z_N from it.  For families with rational
+structural zeros (the d > n padding and weights past a custom table's end),
+and keeps np.exp on its fast path: shifted values below -746 are the exact
+0 np.exp gives there, and those in [-746, -707.5) are certified, not
+computed, by two sums that bound the row's and agree.  Row sums keep the
+full width, so numpy's pairwise summation groups the same terms and the
+table is bit for bit the per-entry log-sum-exp.  log_row computes one row
+without the table, by the power-of-series recurrence, in O(N^2) time and
+O(N) memory, and log_z_n reads log Z_N from it.  For families with rational
 weights, exact_corner computes a corner of the same table in Fractions.
 """
 
@@ -47,6 +47,29 @@ class TableSizeError(ValueError):
 _ROW_BLOCK = 64  # output entries per block of the row convolution
 _EXP_FAST = -707.5  # np.exp is on its fast path at and above this input
 _EXP_ZERO = -746.0  # and returns exactly 0 below this one
+_EXP_BAND_MAX = math.exp(-707.0)  # above np.exp of every input below _EXP_FAST
+
+
+def _exp_row_sums(m: np.ndarray, slow: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Row sums of np.exp(m) in the scratch terms, 0 past m's c columns, bit
+    for bit; slow marks m < _EXP_FAST, -inf entries optional.  A row sum is a
+    fixed tree of monotone IEEE additions, so it lies between s_lo and s_hi,
+    its sums with the band [_EXP_ZERO, _EXP_FAST) as 0 and as _EXP_BAND_MAX;
+    only rows where those differ get np.exp of the whole row."""
+    block = terms[:, : m.shape[1]]
+    if not slow.any():
+        np.exp(m, out=block)
+        return terms.sum(axis=1)
+    np.exp(np.maximum(m, _EXP_FAST, out=block), out=block)
+    np.copyto(block, 0.0, where=m < _EXP_FAST)  # the -inf padding too; below _EXP_ZERO np.exp gives 0
+    s = terms.sum(axis=1)  # s_lo
+    band = slow & (m >= _EXP_ZERO)
+    if band.any():
+        np.copyto(block, _EXP_BAND_MAX, where=band)
+        fix = np.flatnonzero(terms.sum(axis=1) != s)  # rows with s_lo < s_hi
+        block[fix] = np.exp(m[fix])
+        s[fix] = terms[fix].sum(axis=1)
+    return s
 
 
 def _log_conv_row(prev: np.ndarray, log_terms: np.ndarray) -> np.ndarray:
@@ -61,10 +84,7 @@ def _log_conv_row(prev: np.ndarray, log_terms: np.ndarray) -> np.ndarray:
       only columns d < b (the rest of their rows is the d > n padding) and
       no column past the last finite log term (a custom table's end);
     - shifted values below _EXP_FAST (-707.5), where np.exp leaves its fast
-      path (a subnormal result costs ~100x), stay out of the block's one exp
-      call: below _EXP_ZERO (-746) they are set to the 0 np.exp returns
-      there, and the rest get np.exp on their compacted values, which is
-      elementwise and so gives the same bits.
+      path (~100x slower), stay out of the exp call (see _exp_row_sums).
 
     Each row's sum still runs over the full width W, with zeros past the
     block: numpy's pairwise summation groups the terms by the length summed,
@@ -91,17 +111,7 @@ def _log_conv_row(prev: np.ndarray, log_terms: np.ndarray) -> np.ndarray:
         slow = m < _EXP_FAST
         if c > a:
             slow[:, a:] &= below_diag[: b - a, : c - a]  # the d > n padding stays -inf: exp gives 0
-        idx = np.flatnonzero(slow)
-        if idx.size:
-            vals = m.ravel()[idx]
-            m.ravel()[idx] = _EXP_FAST
-        np.exp(m, out=terms[: b - a, :c])
-        if idx.size:
-            fix = np.zeros(idx.size)
-            live = vals >= _EXP_ZERO
-            fix[live] = np.exp(vals[live])
-            terms.ravel()[idx + idx // c * (w - c)] = fix
-        s = terms[: b - a].sum(axis=1)
+        s = _exp_row_sums(m, slow, terms[: b - a])
         np.log(s, out=s, where=s > 0)
         out[a:b] = mx + s  # a row with no finite term has mx = -inf and s = 0
     return out

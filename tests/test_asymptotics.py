@@ -39,6 +39,12 @@ def test_degree_cutoff():
             degree_cutoff(alpha)
 
 
+def test_reciprocal_is_integer_rejects_alpha_without_a_finite_reciprocal():
+    for alpha in (1e-320, math.inf, math.nan):
+        with pytest.raises(ValueError, match=rf"alpha must be a finite number > 0 .*, got {alpha}$"):
+            reciprocal_is_integer(alpha)
+
+
 def test_scale_values():
     assert degree_count_scale(0.5, 10**4, 1) == pytest.approx(100.0)
     assert degree_count_scale(0.4, 10**5, 2) == pytest.approx(2**0.4 * 10, rel=1e-12)
@@ -134,6 +140,13 @@ def test_profile_overflow_is_value_error():
     """Where B^floor(1/alpha) overflows a float, the error names alpha, N and m."""
     with pytest.raises(ValueError, match=r"alpha=0\.3, N=100, m=\[1e\+120\]"):
         profile(0.3, 100, [1e120])
+
+
+def test_profile_overflow_message_shows_a_few_coordinates():
+    """At K = 169 m has 169 coordinates; the message prints four and counts the rest."""
+    with pytest.raises(ValueError) as info:
+        profile(0.0059, 1000, np.arange(1.0, 170.0))
+    assert str(info.value) == "profile overflows a float at alpha=0.0059, N=1000, m=[1.0, 2.0, 3.0, 4.0, ... 165 more]"
 
 
 def test_predict_newton_stall_raises_boundary_hit():

@@ -24,7 +24,9 @@ from sgtree import (
 from sgtree.partition import (
     _EXP_FAST,
     _EXP_ZERO,
+    _EXP_BAND_MAX,
     _ROW_BLOCK,
+    _exp_row_sums,
     _log_conv_row,
     exact_corner,
     log_row,
@@ -428,6 +430,17 @@ def test_save_bytes_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == "3e8767e2e3ba7d94b9c18356c6cd51fcab984af992243bf631fdf00fea7369e0"
 
 
+def test_certified_table_pinned():
+    """A whole table whose rows hold band values (22,344 of them), so every
+    row sum goes through the certificate; its bits are those of the
+    per-entry log-sum-exp kernel the certificate replaced."""
+    table = build_ztable(factorial_alpha_weights(3), 400)
+    assert _exp_band_counts(table.log_table[399], table.log_w)[1] > 0
+    assert hashlib.sha256(table.log_table.tobytes()).hexdigest() == (
+        "ee46b207ad7d0d7613949bc39fec7dbb3f82cdf5e0cb0b78e45728e89772994e"
+    )
+
+
 def test_save_does_not_copy_the_table(tmp_path):
     table = build_ztable(factorial_alpha_weights(0.5), 200)
     tracemalloc.start()
@@ -502,6 +515,42 @@ def test_row_kernel_bitwise_equals_per_entry_reference():
                     zero, subnormal = _exp_band_counts(prev, terms)
                     zero_band, subnormal_band = zero_band + zero, subnormal_band + subnormal
     assert zero_band > 1000 and subnormal_band > 1000
+
+
+def test_row_sums_compute_the_rows_the_band_can_move():
+    """A crafted block whose bounds differ: rows without their max term 1.0,
+    whose sums are band values alone, which no row of a table has.  Those
+    rows take the fallback; the others are certified.  Every sum is the
+    reference's: np.exp of the block padded to the full width with -inf,
+    summed along rows."""
+    w, c = 300, 200  # past 128 terms numpy's pairwise sum splits the row
+    m = np.full((5, c), -np.inf)
+    m[0, :4] = [-710.0, -720.0, -745.9, -800.0]  # band and zero band: s_lo = 0 < s_hi
+    m[1, :12] = np.linspace(-707.6, -745.0, 12)  # band alone, 12 values: a pairwise sum
+    m[2, :3] = [0.0, -710.0, -3.0]  # the max term 1.0 with band values: certified
+    m[3, :2] = [-800.0, -1e4]  # the zero band alone: s_lo = s_hi = 0, exact
+    m[4] = np.linspace(-700.0, -745.9, c)  # fast and band values, no max
+    terms = np.zeros((5, w))
+    terms[:, :c] = 7.0  # what an earlier block left behind
+    slow = m < _EXP_FAST
+    full = np.full((5, w), -np.inf)
+    full[:, :c] = m
+    want = np.exp(full).sum(axis=1)
+    got = _exp_row_sums(m.copy(), slow, terms)
+    assert got.tobytes() == want.tobytes()
+    assert got[0] > 0 and got[1] > 0 and got[3] == 0.0
+    fast = np.where(slow, 0.0, np.exp(m))
+    s_lo, s_hi = fast.sum(axis=1), np.where(slow & (m >= _EXP_ZERO), _EXP_BAND_MAX, fast).sum(axis=1)
+    assert (s_lo != s_hi).tolist() == [True, True, False, False, True]
+
+
+def test_band_max_bounds_every_exp_below_the_fast_path():
+    """_EXP_BAND_MAX is an upper bound on np.exp over the band, so s_hi is
+    an upper bound on the row sum."""
+    below = np.nextafter(_EXP_FAST, -np.inf)
+    assert np.exp(below) < _EXP_BAND_MAX
+    grid = np.linspace(_EXP_ZERO, below, 100001)
+    assert np.all(np.exp(grid) <= _EXP_BAND_MAX)
 
 
 def test_exp_is_exactly_zero_below_the_zero_band():
