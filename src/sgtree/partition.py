@@ -52,23 +52,23 @@ _EXP_BAND_MAX = math.exp(-707.0)  # above np.exp of every input below _EXP_FAST
 
 def _exp_row_sums(m: np.ndarray, slow: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """Row sums of np.exp(m) in the scratch terms, 0 past m's c columns, bit
-    for bit; slow marks m < _EXP_FAST, -inf entries optional.  A row sum is a
-    fixed tree of monotone IEEE additions, so it lies between s_lo and s_hi,
-    its sums with the band [_EXP_ZERO, _EXP_FAST) as 0 and as _EXP_BAND_MAX;
+    for bit; slow marks m < _EXP_FAST, -inf entries optional.  With no value
+    in the band [_EXP_ZERO, _EXP_FAST) this is one np.exp call (0 below the
+    band, at a few ns).  Else each row sum, a fixed tree of monotone IEEE
+    additions, lies between its sums with the band as 0 and as _EXP_BAND_MAX;
     only rows where those differ get np.exp of the whole row."""
     block = terms[:, : m.shape[1]]
-    if not slow.any():
+    band = slow & (m >= _EXP_ZERO) if slow.any() else slow
+    if not band.any():
         np.exp(m, out=block)
         return terms.sum(axis=1)
     np.exp(np.maximum(m, _EXP_FAST, out=block), out=block)
     np.copyto(block, 0.0, where=m < _EXP_FAST)  # the -inf padding too; below _EXP_ZERO np.exp gives 0
     s = terms.sum(axis=1)  # s_lo
-    band = slow & (m >= _EXP_ZERO)
-    if band.any():
-        np.copyto(block, _EXP_BAND_MAX, where=band)
-        fix = np.flatnonzero(terms.sum(axis=1) != s)  # rows with s_lo < s_hi
-        block[fix] = np.exp(m[fix])
-        s[fix] = terms[fix].sum(axis=1)
+    np.copyto(block, _EXP_BAND_MAX, where=band)
+    fix = np.flatnonzero(terms.sum(axis=1) != s)  # rows with s_lo < s_hi
+    block[fix] = np.exp(m[fix])
+    s[fix] = terms[fix].sum(axis=1)
     return s
 
 
@@ -83,8 +83,8 @@ def _log_conv_row(prev: np.ndarray, log_terms: np.ndarray) -> np.ndarray:
     - entries are computed in blocks of _ROW_BLOCK rows [a, b), which read
       only columns d < b (the rest of their rows is the d > n padding) and
       no column past the last finite log term (a custom table's end);
-    - shifted values below _EXP_FAST (-707.5), where np.exp leaves its fast
-      path (~100x slower), stay out of the exp call (see _exp_row_sums).
+    - shifted values in [_EXP_ZERO, _EXP_FAST), where np.exp runs ~100x
+      slower, are certified, not computed (see _exp_row_sums).
 
     Each row's sum still runs over the full width W, with zeros past the
     block: numpy's pairwise summation groups the terms by the length summed,

@@ -539,6 +539,9 @@ def test_row_sums_compute_the_rows_the_band_can_move():
     got = _exp_row_sums(m.copy(), slow, terms)
     assert got.tobytes() == want.tobytes()
     assert got[0] > 0 and got[1] > 0 and got[3] == 0.0
+    quiet = np.array([[0.0, -3.0, -800.0, -1e4, -np.inf]])  # slow values, none in the band
+    ref = np.exp(np.pad(quiet, ((0, 0), (0, w - 5)), constant_values=-np.inf)).sum(axis=1)
+    assert _exp_row_sums(quiet.copy(), quiet < _EXP_FAST, np.zeros((1, w))).tobytes() == ref.tobytes()
     fast = np.where(slow, 0.0, np.exp(m))
     s_lo, s_hi = fast.sum(axis=1), np.where(slow & (m >= _EXP_ZERO), _EXP_BAND_MAX, fast).sum(axis=1)
     assert (s_lo != s_hi).tolist() == [True, True, False, False, True]
